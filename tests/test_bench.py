@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +272,31 @@ class TestRunSweepAndReports:
         p.write_text("mechanism,grid_value,statistic,value\nlaplace,1.0,mean_mae,2.0\n")
         with pytest.raises(ValueError, match="missing config"):
             read_report_csv(p)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_sweeps.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden(name):
+    """Sweep reports match the pinned fixture.
+
+    The fixture holds run_sweep(config).to_dict() at d=16 for test_m,
+    training_m and epsilon sweeps over each selection and learner path,
+    plus the acceptance-07 config shrunk to d=16.  Seeds must match
+    exactly; MAEs to a relative 1e-12, which absorbs BLAS threading.
+    Regenerate it only for a deliberate change of report contents.
+    """
+    golden = GOLDEN[name]
+    report = run_sweep(ExperimentConfig.from_dict(golden["config"])).to_dict()
+    assert report["config"] == golden["config"]
+    assert report["seed_rule"] == golden["seed_rule"]
+    assert len(report["rows"]) == len(golden["rows"])
+    for row, want in zip(report["rows"], golden["rows"]):
+        key = (want["mechanism"], want["grid_index"])
+        assert (row["mechanism"], row["grid_index"]) == key
+        assert row["grid_value"] == want["grid_value"], key
+        assert row["trial_seeds"] == want["trial_seeds"], key
+        assert row["train_test_overlap"] == want["train_test_overlap"], key
+        for got, expected in zip(row["trial_maes"], want["trial_maes"], strict=True):
+            assert math.isclose(got, expected, rel_tol=1e-12), key
