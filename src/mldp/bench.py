@@ -10,6 +10,7 @@ re-running a config reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,9 +39,6 @@ __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "ExperimentReport",
-    "run_training_size_sweep",
-    "run_test_size_sweep",
-    "run_epsilon_sweep",
     "run_sweep",
     "emit_report",
     "read_report_csv",
@@ -330,195 +328,114 @@ def _baseline_mae(mechanism, test, truth, hist, epsilon, rounds, seed) -> float:
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def _mldp_config(config: ExperimentConfig, epsilon: float, m: int | None, seed: int) -> MldpConfig:
-    return MldpConfig(
-        epsilon=epsilon,
-        selection=config.selection,
-        m=m,
-        learner=config.learner,
-        ridge=config.ridge,
-        width_u=config.width_u,
-        seed=seed,
-    )
-
-
 def _overlap_count(training: Workload, test: Workload) -> int:
     """How many test queries also appear in the training workload."""
     keys = {q.coeffs.tobytes() for q in training}
     return sum(1 for q in test if q.coeffs.tobytes() in keys)
 
 
-def _fixed_m(config: ExperimentConfig) -> int | None:
-    return config.training_m if config.selection == "random_m" else None
-
-
-def run_training_size_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """MAE versus training-set size m.
-
-    The model is retrained per grid point with m queries drawn by
-    random_m selection from the full contiguous-range pool; every trial
-    keeps one fixed held-out test workload of test_m random ranges, so
-    mechanisms that never see the training set produce one row repeated
-    across the grid.
-    """
-    if config.sweep_variable != "training_m":
-        raise ValueError(f"config sweeps {config.sweep_variable!r}, not 'training_m'")
-    if "mldp" in config.mechanisms and config.selection != "random_m":
-        raise ValueError("the training-size sweep varies m, which needs random_m selection")
-    hist = config.dataset.load()
-    pool = all_range_queries(hist.d)
-    grid = [int(v) for v in config.grid]
-    collector = _Collector(config.mechanisms, config.grid)
-
-    for t in range(config.trials):
-        trial_seed = config.base_seed + t
-        test = random_range_workload(
-            hist.d, config.test_m, derive_seed(trial_seed, "test-workload")
-        )
-        truth = evaluate_workload(test, hist)
-        for mech in config.mechanisms:
-            if mech == "mldp":
-                for i, m in enumerate(grid):
-                    seed = derive_seed(trial_seed, "mldp", i)
-                    mc = _mldp_config(config, config.epsilon, m, seed)
-                    model = mldp_publish(hist, mc, PrivacyBudget(config.epsilon), pool=pool)
-                    overlap = _overlap_count(
-                        training_workload_for(hist.d, mc, pool), test
-                    )
-                    collector.add(mech, i, seed, mae(predict(model, test), truth), overlap)
-            else:
-                seed = derive_seed(trial_seed, mech)
-                value = _baseline_mae(
-                    mech, test, truth, hist, config.epsilon, config.rounds, seed
-                )
-                for i in range(len(grid)):
-                    collector.add(mech, i, seed, value)
-
-    return ExperimentReport(
-        config=config.to_dict(),
-        sweep_variable=config.sweep_variable,
-        grid=config.grid,
-        rows=collector.rows(config.mechanisms),
-    )
-
-
-def run_test_size_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """MAE versus test-workload size.
-
-    Each trial trains one model and reuses it across every test size;
-    the test workload is redrawn per grid point.  Baselines answer each
-    test workload directly.
-    """
-    if config.sweep_variable != "test_m":
-        raise ValueError(f"config sweeps {config.sweep_variable!r}, not 'test_m'")
-    hist = config.dataset.load()
-    pool = all_range_queries(hist.d)
-    grid = [int(v) for v in config.grid]
-    collector = _Collector(config.mechanisms, config.grid)
-
-    for t in range(config.trials):
-        trial_seed = config.base_seed + t
-        model = None
-        model_seed = None
-        training = None
-        if "mldp" in config.mechanisms:
-            model_seed = derive_seed(trial_seed, "mldp")
-            mc = _mldp_config(config, config.epsilon, _fixed_m(config), model_seed)
-            model = mldp_publish(hist, mc, PrivacyBudget(config.epsilon), pool=pool)
-            training = training_workload_for(hist.d, mc, pool)
-        for i, m_t in enumerate(grid):
-            test = random_range_workload(
-                hist.d, m_t, derive_seed(trial_seed, "test-workload", i)
-            )
-            truth = evaluate_workload(test, hist)
-            for mech in config.mechanisms:
-                if mech == "mldp":
-                    collector.add(
-                        mech,
-                        i,
-                        model_seed,
-                        mae(predict(model, test), truth),
-                        _overlap_count(training, test),
-                    )
-                else:
-                    seed = derive_seed(trial_seed, mech, i)
-                    collector.add(
-                        mech,
-                        i,
-                        seed,
-                        _baseline_mae(
-                            mech, test, truth, hist, config.epsilon, config.rounds, seed
-                        ),
-                    )
-
-    return ExperimentReport(
-        config=config.to_dict(),
-        sweep_variable=config.sweep_variable,
-        grid=config.grid,
-        rows=collector.rows(config.mechanisms),
-    )
-
-
-def run_epsilon_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """MAE versus privacy budget epsilon.
-
-    Every mechanism is re-run at each epsilon with a fresh independent
-    budget; the test workload of test_m random ranges is fixed per trial
-    and its exact answers are computed once and shared.
-    """
-    if config.sweep_variable != "epsilon":
-        raise ValueError(f"config sweeps {config.sweep_variable!r}, not 'epsilon'")
-    hist = config.dataset.load()
-    pool = all_range_queries(hist.d)
-    collector = _Collector(config.mechanisms, config.grid)
-
-    for t in range(config.trials):
-        trial_seed = config.base_seed + t
-        test = random_range_workload(
-            hist.d, config.test_m, derive_seed(trial_seed, "test-workload")
-        )
-        truth = evaluate_workload(test, hist)
-        for i, epsilon in enumerate(config.grid):
-            for mech in config.mechanisms:
-                seed = derive_seed(trial_seed, mech, i)
-                if mech == "mldp":
-                    mc = _mldp_config(config, epsilon, _fixed_m(config), seed)
-                    model = mldp_publish(hist, mc, PrivacyBudget(epsilon), pool=pool)
-                    collector.add(
-                        mech,
-                        i,
-                        seed,
-                        mae(predict(model, test), truth),
-                        _overlap_count(training_workload_for(hist.d, mc, pool), test),
-                    )
-                else:
-                    collector.add(
-                        mech,
-                        i,
-                        seed,
-                        _baseline_mae(
-                            mech, test, truth, hist, epsilon, config.rounds, seed
-                        ),
-                    )
-
-    return ExperimentReport(
-        config=config.to_dict(),
-        sweep_variable=config.sweep_variable,
-        grid=config.grid,
-        rows=collector.rows(config.mechanisms),
-    )
-
-
-_RUNNERS = {
-    "training_m": run_training_size_sweep,
-    "test_m": run_test_size_sweep,
-    "epsilon": run_epsilon_sweep,
+# Which swept variables each per-trial object reads: SEED_RULE as data.
+# An object that reads the swept variable is drawn at each grid point i
+# from derive_seed(trial_seed, name, i); any other is drawn once per
+# trial from derive_seed(trial_seed, name) and shared across the grid.
+_READS = {
+    "test-workload": ("test_m",),
+    "mldp": ("training_m", "epsilon"),
+    "baseline": ("test_m", "epsilon"),
 }
 
 
 def run_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch to the runner for the config's sweep variable."""
-    return _RUNNERS[config.sweep_variable](config)
+    """MAE of every mechanism at every point of the config's grid.
+
+    One loop serves all three sweep kinds: trial, then grid point, then
+    mechanism.  Each trial draws a held-out test workload of random
+    ranges, an mldp model and one run of each baseline, each with its
+    own child seed.  What a kind of sweep redraws per grid point and
+    what it shares across the grid follows from _READS:
+
+    - training_m: the model is retrained at each m, by random_m
+      selection from the range pool; the test workload and the
+      baselines are shared, so baseline rows repeat across the grid.
+    - test_m: the test workload and the baselines are redrawn at each
+      size; one model per trial answers them all.
+    - epsilon: the model and the baselines rerun at each epsilon with a
+      fresh budget; the test workload and its exact answers are shared.
+
+    The contiguous-range pool is built only when mldp selection reads
+    it, i.e. for any selection but singleton.  Nothing is held across
+    trials.
+    """
+    var = config.sweep_variable
+    if var == "training_m" and "mldp" in config.mechanisms and config.selection != "random_m":
+        raise ValueError("the training-size sweep varies m, which needs random_m selection")
+    hist = config.dataset.load()
+    pool = None
+    if "mldp" in config.mechanisms and config.selection != "singleton":
+        pool = all_range_queries(hist.d)
+    collector = _Collector(config.mechanisms, config.grid)
+
+    def test_workload(at, seed):
+        test = random_range_workload(hist.d, at["test_m"], seed)
+        return test, evaluate_workload(test, hist)
+
+    def publish(at, seed):
+        mc = MldpConfig(
+            epsilon=at["epsilon"],
+            selection=config.selection,
+            m=at["training_m"] if config.selection == "random_m" else None,
+            learner=config.learner,
+            ridge=config.ridge,
+            width_u=config.width_u,
+            seed=seed,
+        )
+        model = mldp_publish(hist, mc, PrivacyBudget(at["epsilon"]), pool=pool)
+        # The overlap count reselects the training set: lazily, after
+        # predict, and once per model.
+        training = functools.cache(lambda: training_workload_for(hist.d, mc, pool))
+        return seed, model, training
+
+    def baseline(mech, at, test, truth, seed):
+        return seed, _baseline_mae(mech, test, truth, hist, at["epsilon"], config.rounds, seed)
+
+    for t in range(config.trials):
+        trial_seed = config.base_seed + t
+        shared = {}  # this trial's draws that do not read the swept variable
+
+        def draw(kind, name, i, make):
+            if var in _READS[kind]:
+                return make(derive_seed(trial_seed, name, i))
+            if name not in shared:
+                shared[name] = make(derive_seed(trial_seed, name))
+            return shared[name]
+
+        for i, value in enumerate(config.grid):
+            at = {  # the fixed values, with the swept one set to the grid value
+                "training_m": config.training_m,
+                "test_m": config.test_m,
+                "epsilon": config.epsilon,
+                var: value if var == "epsilon" else int(value),
+            }
+            test, truth = draw(
+                "test-workload", "test-workload", i, lambda s: test_workload(at, s)
+            )
+            for mech in config.mechanisms:
+                if mech == "mldp":
+                    seed, model, training = draw("mldp", "mldp", i, lambda s: publish(at, s))
+                    error = mae(predict(model, test), truth)
+                    collector.add(mech, i, seed, error, _overlap_count(training(), test))
+                else:
+                    seed, error = draw(
+                        "baseline", mech, i, lambda s: baseline(mech, at, test, truth, s)
+                    )
+                    collector.add(mech, i, seed, error)
+
+    return ExperimentReport(
+        config=config.to_dict(),
+        sweep_variable=config.sweep_variable,
+        grid=config.grid,
+        rows=collector.rows(config.mechanisms),
+    )
 
 
 def emit_report(report: ExperimentReport, path, fmt: str | None = None) -> None:

@@ -15,12 +15,10 @@ from mldp import (
     emit_report,
     mae,
     read_report_csv,
-    run_epsilon_sweep,
     run_sweep,
-    run_test_size_sweep,
-    run_training_size_sweep,
     save_histogram_csv,
 )
+from mldp import bench
 from mldp.bench import MECHANISMS
 
 SIM = DatasetSpec(d=16, max_count=100, seed=11)
@@ -143,7 +141,7 @@ class TestTrainingSizeSweep:
             selection="random_m",
             training_m=5,
         )
-        report = run_training_size_sweep(config)
+        report = run_sweep(config)
         assert report.sweep_variable == "training_m"
         assert len(report.rows) == len(MECHANISMS) * 2
         for mech in MECHANISMS:
@@ -167,23 +165,19 @@ class TestTrainingSizeSweep:
     def test_requires_random_m_selection_for_mldp(self):
         config = small_config(sweep_variable="training_m", grid=(5.0,))
         with pytest.raises(ValueError, match="random_m"):
-            run_training_size_sweep(config)
+            run_sweep(config)
 
     def test_baselines_alone_do_not_need_random_m(self):
         config = small_config(
             sweep_variable="training_m", grid=(5.0,), mechanisms=("laplace",), trials=2
         )
-        report = run_training_size_sweep(config)
+        report = run_sweep(config)
         assert len(report.rows) == 1
-
-    def test_runner_checks_sweep_variable(self):
-        with pytest.raises(ValueError, match="not 'training_m'"):
-            run_training_size_sweep(small_config())
 
 
 class TestTestSizeSweep:
     def test_model_reused_across_grid(self):
-        report = run_test_size_sweep(small_config())
+        report = run_sweep(small_config())
         # One model per trial: identical seeds across grid points ...
         assert report.row("mldp", 0).trial_seeds == report.row("mldp", 1).trial_seeds
         # ... answering freshly drawn test workloads per point.
@@ -192,26 +186,37 @@ class TestTestSizeSweep:
         for i in (0, 1):
             assert report.row("mldp", i).train_test_overlap is not None
 
-    def test_runner_checks_sweep_variable(self):
-        with pytest.raises(ValueError, match="not 'test_m'"):
-            run_test_size_sweep(small_config(sweep_variable="epsilon", grid=(1.0,)))
-
 
 class TestEpsilonSweep:
     def test_all_mechanisms_rerun_per_epsilon(self):
         config = small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2)
-        report = run_epsilon_sweep(config)
+        report = run_sweep(config)
         assert len(report.rows) == len(MECHANISMS) * 2
         for mech in MECHANISMS:
             assert report.row(mech, 0).trial_seeds != report.row(mech, 1).trial_seeds
 
     def test_deterministic_given_config(self):
         config = small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2)
-        assert run_epsilon_sweep(config).to_dict() == run_epsilon_sweep(config).to_dict()
+        assert run_sweep(config).to_dict() == run_sweep(config).to_dict()
 
-    def test_runner_checks_sweep_variable(self):
-        with pytest.raises(ValueError, match="not 'epsilon'"):
-            run_epsilon_sweep(small_config())
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2),
+        small_config(
+            sweep_variable="training_m", grid=(5.0, 20.0), mechanisms=("laplace",), trials=2
+        ),
+    ],
+    ids=["singleton-epsilon", "baselines-only-training_m"],
+)
+def test_range_pool_built_only_for_pool_selection(monkeypatch, config):
+    def no_pool(d):
+        raise AssertionError("the range pool was built")
+
+    monkeypatch.setattr(bench, "all_range_queries", no_pool)
+    report = run_sweep(config)
+    assert len(report.rows) == len(config.mechanisms) * len(config.grid)
 
 
 @pytest.fixture(scope="module")
