@@ -20,10 +20,7 @@ from .bench import (
     emit_report,
     mae,
     read_report_csv,
-    run_epsilon_sweep,
     run_sweep,
-    run_test_size_sweep,
-    run_training_size_sweep,
 )
 from .histogram import (
     Histogram,
@@ -49,7 +46,6 @@ from .mechanisms import (
     InsufficientBudgetError,
     NoisyAnswerSet,
     PrivacyBudget,
-    SyntheticHistogram,
     clamp_nonnegative,
     laplace_batch,
     laplace_sample,
@@ -62,7 +58,6 @@ from .pipeline import (
     ErrorBound,
     MldpConfig,
     default_hypothesis_count,
-    mldp_answer,
     mldp_publish,
     model_error_bound,
     noise_error_bound,
@@ -107,7 +102,6 @@ __all__ = [
     "InsufficientBudgetError",
     "PrivacyBudget",
     "NoisyAnswerSet",
-    "SyntheticHistogram",
     "laplace_sample",
     "laplace_batch",
     "mwem_publish",
@@ -127,7 +121,6 @@ __all__ = [
     "load_model",
     "MldpConfig",
     "mldp_publish",
-    "mldp_answer",
     "training_workload_for",
     "BoundParameters",
     "ErrorBound",
@@ -143,9 +136,6 @@ __all__ = [
     "ReportRow",
     "MECHANISMS",
     "SWEEP_VARIABLES",
-    "run_training_size_sweep",
-    "run_test_size_sweep",
-    "run_epsilon_sweep",
     "run_sweep",
     "emit_report",
     "read_report_csv",

@@ -16,12 +16,11 @@ import sys
 
 from .bench import ExperimentConfig, emit_report, run_sweep
 from .histogram import load_histogram_csv
-from .learning import load_model, save_model
+from .learning import load_model, predict, save_model
 from .mechanisms import InsufficientBudgetError, PrivacyBudget
 from .pipeline import (
     BoundParameters,
     MldpConfig,
-    mldp_answer,
     mldp_publish,
     total_error_bound,
 )
@@ -101,7 +100,7 @@ def _cmd_publish(args) -> int:
 def _cmd_answer(args) -> int:
     model = load_model(args.model)
     workload = load_workload_csv(args.workload)
-    answers = mldp_answer(model, workload)
+    answers = predict(model, workload)
     print("query_id,answer")
     for i, value in enumerate(answers):
         print(f"{i},{float(value)!r}")
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, InsufficientBudgetError, KeyError) as exc:
+    except (ValueError, OSError, InsufficientBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -366,7 +366,11 @@ def save_model(model: PublishedModel, path) -> None:
 
 
 def load_model(path) -> PublishedModel:
-    """Read a model written by :func:`save_model`, validating its shape."""
+    """Read a model written by :func:`save_model`, validating its shape.
+
+    Weights, centers and width must be finite; meta may record an
+    infinite epsilon_consumed from the noise-disabled mode.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -384,7 +388,7 @@ def load_model(path) -> PublishedModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from None
     try:
-        return PublishedModel(
+        model = PublishedModel(
             kind=kind,
             d=d,
             weights=np.asarray(weights, dtype=float),
@@ -394,6 +398,13 @@ def load_model(path) -> PublishedModel:
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from None
+    if not all(
+        v is None or np.isfinite(v).all() for v in (model.weights, model.centers, model.width_u)
+    ):
+        raise ValueError(
+            f"{path}: not a valid model file: weights, centers and width_u must be finite"
+        )
+    return model
 
 
 def with_meta_seed(model: PublishedModel, seed: int | None) -> PublishedModel:

@@ -26,7 +26,6 @@ __all__ = [
     "InsufficientBudgetError",
     "PrivacyBudget",
     "NoisyAnswerSet",
-    "SyntheticHistogram",
     "laplace_sample",
     "laplace_batch",
     "mwem_publish",
@@ -34,9 +33,6 @@ __all__ = [
     "clamp_nonnegative",
     "save_noisy_answers",
 ]
-
-# Synthetic estimates are ordinary histograms with fractional bins.
-SyntheticHistogram = Histogram
 
 # Tikhonov term that keeps the strategy reconstruction well-posed.
 _RECONSTRUCTION_RIDGE = 1e-9
@@ -88,6 +84,11 @@ class PrivacyBudget:
         epsilon = float(epsilon)
         if not epsilon > 0 or math.isnan(epsilon):
             raise ValueError("charges must be strictly positive")
+        self._check_fits(label, epsilon)
+        self._charges.append((str(label), epsilon))
+
+    def _check_fits(self, label: str, epsilon: float) -> None:
+        """Raise InsufficientBudgetError unless epsilon more fits; charges nothing."""
         if not math.isinf(self._total):
             slack = 1e-9 * max(1.0, self._total)
             if self.spent + epsilon > self._total + slack:
@@ -95,7 +96,6 @@ class PrivacyBudget:
                     f"charge {epsilon} for {label!r} exceeds remaining "
                     f"budget {self.remaining} of {self._total}"
                 )
-        self._charges.append((str(label), epsilon))
 
     def __repr__(self):
         return (
@@ -221,17 +221,20 @@ def mwem_publish(
     budget: PrivacyBudget | None = None,
     mw_iters: int = 20,
     on_round=None,
-) -> tuple[SyntheticHistogram, np.ndarray]:
+) -> tuple[Histogram, np.ndarray]:
     """Multiplicative-weights release of a synthetic histogram.
 
     Starts from the uniform histogram with the true total.  Each of the
     ``rounds`` rounds spends epsilon/(2*rounds) selecting the currently
     worst-approximated workload query through the exponential mechanism
     (score = absolute error of the synthetic answer) and another
-    epsilon/(2*rounds) measuring the selected query with Laplace noise
-    at sensitivity 1.  The synthetic bins are then refit to the full
-    measurement history with ``mw_iters`` passes of the multiplicative
-    weights update
+    epsilon/(2*rounds) measuring the selected query with Laplace noise.
+    Both steps are scaled to the sensitivity of one query answer, the
+    largest absolute coefficient in the workload (1 for 0/1 queries).
+    The whole epsilon must fit in the budget before the first draw,
+    and is charged round by round.  After each round the synthetic bins
+    are refit to the full measurement history with ``mw_iters`` passes
+    of the multiplicative weights update
 
         bins_j <- bins_j * exp(coeffs[j] * (measured - estimate) / (2 * total))
 
@@ -258,10 +261,17 @@ def mwem_publish(
     if budget is None:
         budget = PrivacyBudget(epsilon)
 
-    eps_round = epsilon / (2 * rounds)
-    measurement_scale = _noise_scale(1.0, eps_round)
-    rng = np.random.default_rng(seed)
+    budget._check_fits("mwem", epsilon)
+
     matrix = workload.matrix
+    # Moving one record changes any one query answer, and so any score,
+    # by at most the largest absolute coefficient.
+    sensitivity = float(np.abs(matrix).max())
+    eps_round = epsilon / (2 * rounds)
+    # An all-zero workload reads no data: its selection is the argmax.
+    select_epsilon = eps_round / sensitivity if sensitivity > 0 else math.inf
+    measurement_scale = _noise_scale(sensitivity, eps_round)
+    rng = np.random.default_rng(seed)
     truth = evaluate_workload(workload, hist)
     bins = np.full(hist.d, total / hist.d)
     history: list[tuple[int, float]] = []
@@ -269,7 +279,7 @@ def mwem_publish(
     for t in range(rounds):
         scores = np.abs(matrix @ bins - truth)
         budget.charge(f"mwem select round {t + 1}", eps_round)
-        picked = _exponential_mechanism(scores, eps_round, rng)
+        picked = _exponential_mechanism(scores, select_epsilon, rng)
         budget.charge(f"mwem measure round {t + 1}", eps_round)
         measured = truth[picked] + _laplace_noise(measurement_scale, 1, rng)[0]
         history.append((picked, measured))

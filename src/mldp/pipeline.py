@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .histogram import Histogram
 from .learning import (
     DEFAULT_LINEAR_RIDGE,
@@ -24,7 +22,6 @@ from .learning import (
     TrainingSet,
     fit_linear,
     fit_rbf,
-    predict,
     select_training_set,
     with_meta_seed,
 )
@@ -35,7 +32,6 @@ from .workload import Workload, all_range_queries, all_subset_queries
 __all__ = [
     "MldpConfig",
     "mldp_publish",
-    "mldp_answer",
     "training_workload_for",
     "BoundParameters",
     "ErrorBound",
@@ -101,6 +97,8 @@ class MldpConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MldpConfig":
+        if not isinstance(data, dict):
+            raise ValueError("publish config must be an object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -165,11 +163,6 @@ def mldp_publish(
         ridge = DEFAULT_RBF_RIDGE if config.ridge is None else config.ridge
         model = fit_rbf(training, width_u=config.width_u, ridge=ridge)
     return with_meta_seed(model, config.seed)
-
-
-def mldp_answer(model: PublishedModel, workload: Workload) -> np.ndarray:
-    """Answer fresh queries from the released model; costs no budget."""
-    return predict(model, workload)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ from mldp import (
     fit_linear,
     laplace_batch,
     laplace_sample,
-    mldp_answer,
     mldp_publish,
     model_error_bound,
     mwem_publish,
     noise_error_bound,
+    predict,
     range_query,
     run_sweep,
     strategy_mechanism,
@@ -136,7 +136,7 @@ def test_acceptance_04_zero_noise_exactness(capsys):
     )
     model = mldp_publish(TABLE_HIST, config, PrivacyBudget(math.inf))
     ranges = all_range_queries(4)
-    errors = np.abs(mldp_answer(model, ranges) - evaluate_workload(ranges, TABLE_HIST))
+    errors = np.abs(predict(model, ranges) - evaluate_workload(ranges, TABLE_HIST))
     if errors.max() >= 1e-6:
         failures.append(f"max |error| = {errors.max():.3e} over the 10 range queries")
     _verdict(capsys, "04 zero-noise-exactness", failures)
@@ -177,7 +177,7 @@ def test_acceptance_05_budget_accounting(capsys):
     model = mldp_publish(TABLE_HIST, MldpConfig(epsilon=1.0), budget)
     before = (budget.ledger, budget.spent, budget.remaining)
     for _ in range(10_000):
-        mldp_answer(model, ranges)
+        predict(model, ranges)
     after = (budget.ledger, budget.spent, budget.remaining)
     if before != after:
         failures.append("answering queries from the model moved the ledger")

@@ -91,6 +91,30 @@ class TestPublishAnswer:
         assert main(["answer", str(bad), workload_csv]) == 2
         assert "not a valid model file" in capsys.readouterr().err
 
+    def test_answer_rejects_non_finite_weights(
+        self, capsys, tmp_path, hist_csv, workload_csv
+    ):
+        model_path = tmp_path / "model.json"
+        main(["publish", hist_csv, "--config", publish_config(tmp_path), "--out", str(model_path)])
+        doc = json.loads(model_path.read_text())
+        doc["weights"][1] = float("nan")
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["answer", str(model_path), workload_csv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_publish_rejects_non_object_config(self, capsys, tmp_path, hist_csv):
+        config = tmp_path / "publish.json"
+        config.write_text("5")
+        rc = main(
+            ["publish", hist_csv, "--config", str(config), "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 2
+        assert "must be an object" in capsys.readouterr().err
+
     def test_answer_rejects_dimension_mismatch(
         self, capsys, tmp_path, hist_csv, workload_csv
     ):
@@ -195,6 +219,16 @@ class TestBench:
 
 
 class TestParser:
+    def test_programming_errors_are_not_reported_as_input_errors(
+        self, monkeypatch, tmp_path, workload_csv
+    ):
+        def broken(path):
+            raise KeyError("x")
+
+        monkeypatch.setattr("mldp.cli.load_model", broken)
+        with pytest.raises(KeyError):
+            main(["answer", str(tmp_path / "model.json"), workload_csv])
+
     def test_no_arguments_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

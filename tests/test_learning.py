@@ -368,6 +368,11 @@ class TestModelFiles:
             '{"kind": "linear", "d": 4, "weights": [0.0, 1.0]}',
             '{"kind": "rbf", "d": 2, "weights": [1.0]}',
             '{"kind": "cubist", "d": 2, "weights": [0.0, 1.0, 2.0]}',
+            '{"weights": [0.0, NaN, 1.0], "kind": "linear", "d": 2}',
+            '{"centers": [[Infinity, 0.0]], "kind": "rbf", "d": 2, "weights": [1.0], '
+            '"width_u": 1.0}',
+            '{"width_u": Infinity, "kind": "rbf", "d": 2, "weights": [1.0], '
+            '"centers": [[1.0, 0.0]]}',
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, payload):

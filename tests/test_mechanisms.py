@@ -11,6 +11,7 @@ import pytest
 from mldp import (
     Histogram,
     InsufficientBudgetError,
+    LinearQuery,
     NoisyAnswerSet,
     PrivacyBudget,
     Workload,
@@ -23,6 +24,7 @@ from mldp import (
     save_noisy_answers,
     strategy_mechanism,
 )
+from mldp import mechanisms
 from mldp.mechanisms import _exponential_mechanism
 
 
@@ -269,10 +271,38 @@ class TestMwem:
         assert abs(answers[0] - 24.0) < 0.5
 
     def test_insufficient_budget_stops_before_spending(self, hist4, ranges4):
-        b = PrivacyBudget(0.04)
-        with pytest.raises(InsufficientBudgetError):
-            mwem_publish(ranges4, hist4, 1.0, rounds=5, seed=0, budget=b)
-        assert b.ledger == ()
+        # Short of the first round's charge, and short of the whole epsilon.
+        for total in (0.04, 0.5):
+            b = PrivacyBudget(total)
+            with pytest.raises(InsufficientBudgetError):
+                mwem_publish(ranges4, hist4, 1.0, rounds=5, seed=0, budget=b)
+            assert b.ledger == ()
+
+    def test_noise_scales_with_the_largest_coefficient(self, hist4, monkeypatch):
+        noise_scales, select_epsilons = [], []
+        laplace_noise = mechanisms._laplace_noise
+        exponential = mechanisms._exponential_mechanism
+
+        def spy_noise(scale, size, rng):
+            noise_scales.append(scale)
+            return laplace_noise(scale, size, rng)
+
+        def spy_select(scores, epsilon, rng):
+            select_epsilons.append(epsilon)
+            return exponential(scores, epsilon, rng)
+
+        monkeypatch.setattr(mechanisms, "_laplace_noise", spy_noise)
+        monkeypatch.setattr(mechanisms, "_exponential_mechanism", spy_select)
+        w = Workload(4, [LinearQuery([10.0, 0.0, 0.0, 0.0]), range_query(1, 2, 4)])
+        mwem_publish(w, hist4, 1.0, rounds=2, seed=0)
+        eps_round = 1.0 / 4
+        assert noise_scales == [10.0 / eps_round] * 2
+        assert select_epsilons == [eps_round / 10.0] * 2
+
+    def test_all_zero_workload_needs_no_noise(self, hist4):
+        w = Workload(4, [LinearQuery([0.0, 0.0, 0.0, 0.0])])
+        _, answers = mwem_publish(w, hist4, 1.0, rounds=2, seed=0)
+        assert answers.tolist() == [0.0]
 
     def test_validation(self, hist4, ranges4):
         with pytest.raises(ValueError, match="rounds"):

@@ -19,10 +19,10 @@ from mldp import (
     evaluate_workload,
     fit_linear,
     laplace_batch,
-    mldp_answer,
     mldp_publish,
     model_error_bound,
     noise_error_bound,
+    predict,
     range_query,
     save_model,
     total_error_bound,
@@ -69,7 +69,7 @@ class TestPublish:
     def test_zero_noise_run_recovers_the_histogram(self, hist4, ranges4, ranges4_answers):
         model = mldp_publish(hist4, MldpConfig(**ZERO_NOISE), PrivacyBudget(math.inf))
         np.testing.assert_allclose(model.weights, [0.0, 12.0, 24.0, 6.0, 7.0], atol=1e-9)
-        np.testing.assert_allclose(mldp_answer(model, ranges4), ranges4_answers, atol=1e-9)
+        np.testing.assert_allclose(predict(model, ranges4), ranges4_answers, atol=1e-9)
 
     def test_charges_epsilon_exactly_once(self, hist4):
         budget = PrivacyBudget(2.0)
@@ -149,14 +149,14 @@ class TestPublish:
         model = mldp_publish(hist4, config, PrivacyBudget(math.inf))
         assert model.kind == "rbf"
         assert model.meta.mu is not None
-        assert np.all(np.isfinite(mldp_answer(model, ranges4)))
+        assert np.all(np.isfinite(predict(model, ranges4)))
 
     def test_answering_never_touches_the_budget(self, hist4, ranges4):
         budget = PrivacyBudget(1.0)
         model = mldp_publish(hist4, MldpConfig(epsilon=1.0), budget)
         before = (budget.ledger, budget.spent, budget.remaining)
         for _ in range(500):
-            mldp_answer(model, ranges4)
+            predict(model, ranges4)
         assert (budget.ledger, budget.spent, budget.remaining) == before
 
 
