@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from mldp import (
     PublishedModel,
     TrainingSet,
     Workload,
+    all_range_queries,
+    all_subset_queries,
     fit_linear,
     fit_rbf,
     laplace_batch,
@@ -156,6 +160,35 @@ class TestSelection:
     def test_unknown_strategy(self, ranges4):
         with pytest.raises(ValueError, match="unknown selection strategy"):
             select_training_set(ranges4, "exhaustive")
+
+
+GOLDEN_SELECTIONS = json.loads(
+    (Path(__file__).parent / "data" / "golden_selections.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SELECTIONS))
+def test_selections_match_golden(name):
+    """Training workloads match the pinned fixture exactly.
+
+    Keys read "<pool>/<strategy>/d=<d>[/m=<m>/seed=<seed>]"; each row is
+    a range's [lo, hi] or a subset's bin mask (bit i selects bin i).
+    """
+    pool, strategy, d, *rest = name.split("/")
+    d = int(d[2:])
+    m, seed = (int(part.split("=")[1]) for part in rest) if rest else (None, None)
+    full = all_range_queries(d) if pool == "ranges" else all_subset_queries(d)
+    w = select_training_set(full, strategy, m, seed)
+    golden = GOLDEN_SELECTIONS[name]
+    expected = np.zeros((len(golden["rows"]), d))
+    for i, (kind, row) in enumerate(zip(golden["kinds"], golden["rows"], strict=True)):
+        if kind == "range":
+            expected[i, row[0] : row[1] + 1] = 1.0
+        else:
+            expected[i] = [(row >> j) & 1 for j in range(d)]
+    assert [q.kind for q in w] == golden["kinds"]
+    assert w.matrix.shape == expected.shape
+    assert np.array_equal(w.matrix, expected)
 
 
 class TestFitLinear:
