@@ -10,7 +10,6 @@ re-running a config reproduces the report byte for byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,12 +23,7 @@ from .learning import MODEL_KINDS, SELECTION_STRATEGIES, predict
 from .mechanisms import PrivacyBudget, laplace_batch, mwem_publish, strategy_mechanism
 from .pipeline import MldpConfig, mldp_publish, training_workload_for
 from .seeds import derive_seed
-from .workload import (
-    Workload,
-    all_range_queries,
-    evaluate_workload,
-    random_range_workload,
-)
+from .workload import Workload, evaluate_workload, random_range_workload
 
 __all__ = [
     "MECHANISMS",
@@ -212,12 +206,15 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys {sorted(missing)}")
         kwargs = dict(data)
         kwargs["dataset"] = DatasetSpec.from_dict(data["dataset"])
-        kwargs["mechanisms"] = tuple(data["mechanisms"])
-        kwargs["grid"] = tuple(data["grid"])
-        for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        return cls(**kwargs)
+        try:
+            kwargs["mechanisms"] = tuple(data["mechanisms"])
+            kwargs["grid"] = tuple(data["grid"])
+            for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
+                if key in kwargs:
+                    kwargs[key] = int(kwargs[key])
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"experiment config field of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -330,8 +327,8 @@ def _baseline_mae(mechanism, test, truth, hist, epsilon, rounds, seed) -> float:
 
 def _overlap_count(training: Workload, test: Workload) -> int:
     """How many test queries also appear in the training workload."""
-    keys = {q.coeffs.tobytes() for q in training}
-    return sum(1 for q in test if q.coeffs.tobytes() in keys)
+    keys = {row.tobytes() for row in training.matrix}
+    return sum(row.tobytes() in keys for row in test.matrix)
 
 
 # Which swept variables each per-trial object reads: SEED_RULE as data.
@@ -362,17 +359,12 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
     - epsilon: the model and the baselines rerun at each epsilon with a
       fresh budget; the test workload and its exact answers are shared.
 
-    The contiguous-range pool is built only when mldp selection reads
-    it, i.e. for any selection but singleton.  Nothing is held across
-    trials.
+    Nothing is held across trials.
     """
     var = config.sweep_variable
     if var == "training_m" and "mldp" in config.mechanisms and config.selection != "random_m":
         raise ValueError("the training-size sweep varies m, which needs random_m selection")
     hist = config.dataset.load()
-    pool = None
-    if "mldp" in config.mechanisms and config.selection != "singleton":
-        pool = all_range_queries(hist.d)
     collector = _Collector(config.mechanisms, config.grid)
 
     def test_workload(at, seed):
@@ -389,11 +381,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
             width_u=config.width_u,
             seed=seed,
         )
-        model = mldp_publish(hist, mc, PrivacyBudget(at["epsilon"]), pool=pool)
-        # The overlap count reselects the training set: lazily, after
-        # predict, and once per model.
-        training = functools.cache(lambda: training_workload_for(hist.d, mc, pool))
-        return seed, model, training
+        return seed, mc, mldp_publish(hist, mc, PrivacyBudget(at["epsilon"]))
 
     def baseline(mech, at, test, truth, seed):
         return seed, _baseline_mae(mech, test, truth, hist, at["epsilon"], config.rounds, seed)
@@ -421,12 +409,10 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
             )
             for mech in config.mechanisms:
                 if mech == "mldp":
-                    seed, model, training = draw("mldp", "mldp", i, lambda s: publish(at, s))
+                    seed, mc, model = draw("mldp", "mldp", i, lambda s: publish(at, s))
                     error = mae(predict(model, test), truth)
-                    collector.add(mech, i, seed, error, _overlap_count(training(), test))
-                    # Free a per-point training set before the next publish:
-                    # holding it over measurably slows the next predict.
-                    del training
+                    overlap = _overlap_count(training_workload_for(hist.d, mc), test)
+                    collector.add(mech, i, seed, error, overlap)
                 else:
                     seed, error = draw(
                         "baseline", mech, i, lambda s: baseline(mech, at, test, truth, s)

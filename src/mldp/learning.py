@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mechanisms import NoisyAnswerSet
-from .workload import Workload, range_query
+from .workload import _POOL_KINDS, Workload, pool_queries, pool_size, range_workload
 
 __all__ = [
     "TrainingSet",
@@ -175,58 +175,42 @@ class PublishedModel:
 
 
 def select_training_set(
-    pool: Workload,
+    d: int,
     strategy: str,
     m: int | None = None,
     seed: int | None = None,
+    pool: str = "ranges",
 ) -> Workload:
     """Choose the training queries whose answers will be purchased.
 
-    singleton      the d single-bin queries, built directly (the pool
-                   only fixes the domain size).
-    greedy_cover   repeatedly take, among pool queries that still cover
-                   an uncovered bin, the one touching the fewest bins
-                   overall (least correlated with everything else),
-                   breaking ties by most new bins covered and then by
-                   lowest pool index, until every bin is covered.
-    random_m       m pool queries sampled uniformly with replacement,
-                   deterministic given the seed.
+    pool names the built-in candidate pool ("ranges" or "subsets", see
+    :func:`~mldp.workload.pool_queries`); no pool is ever built.
+
+    singleton      the d single-bin ranges.
+    greedy_cover   the d single-bin ranges.  That is what greedy cover
+                   (take the pool query touching the fewest bins among
+                   those covering an uncovered bin; ties to most new
+                   bins, then lowest pool position) gives on both
+                   built-in pools: each contains every singleton, and a
+                   singleton has the smallest size, so the tie-break
+                   takes the singletons in pool order, i.e. bin order.
+    random_m       m pool positions drawn uniformly with replacement,
+                   deterministic given the seed, mapped to their queries.
     """
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(
             f"unknown selection strategy {strategy!r}; expected one of "
             f"{SELECTION_STRATEGIES}"
         )
-    d = pool.d
-
-    if strategy == "singleton":
-        return Workload(d, [range_query(i, i, d) for i in range(d)])
-
-    if pool.m == 0:
-        raise ValueError("the pool must contain at least one query")
-
-    if strategy == "greedy_cover":
-        support = pool.matrix != 0
-        sizes = support.sum(axis=1)
-        covered = np.zeros(d, dtype=bool)
-        chosen: list[int] = []
-        while not covered.all():
-            gains = (support & ~covered).sum(axis=1)
-            if gains.max() == 0:
-                missing = [int(j) for j in np.flatnonzero(~covered)]
-                raise ValueError(f"pool cannot cover bins {missing}")
-            candidates = np.flatnonzero(gains > 0)
-            idx = int(min(candidates, key=lambda i: (sizes[i], -gains[i], i)))
-            chosen.append(idx)
-            covered |= support[idx]
-        return Workload(d, [pool[i] for i in chosen])
-
-    # random_m
+    if pool not in _POOL_KINDS:
+        raise ValueError(f"unknown pool {pool!r}; expected one of {_POOL_KINDS}")
+    if strategy != "random_m":
+        return range_workload(d, np.arange(d), np.arange(d))
     if m is None or int(m) < 1:
         raise ValueError("random_m needs m >= 1")
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, pool.m, size=int(m))
-    return Workload(d, [pool[int(i)] for i in picks])
+    picks = rng.integers(0, pool_size(d, pool), size=int(m))
+    return pool_queries(d, picks, pool)
 
 
 def fit_linear(training: TrainingSet, ridge: float = DEFAULT_LINEAR_RIDGE) -> PublishedModel:

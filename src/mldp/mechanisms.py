@@ -173,8 +173,6 @@ def laplace_batch(
     budget: PrivacyBudget,
     epsilon: float,
     seed: int | None,
-    *,
-    clamp: bool = False,
 ) -> NoisyAnswerSet:
     """Answer a whole workload in one epsilon-DP Laplace release.
 
@@ -193,8 +191,6 @@ def laplace_batch(
     rng = np.random.default_rng(seed)
     scale = _noise_scale(sensitivity, epsilon)
     answers = evaluate_workload(workload, hist) + _laplace_noise(scale, workload.m, rng)
-    if clamp:
-        answers = clamp_nonnegative(answers)
     return NoisyAnswerSet(workload, answers, sensitivity, epsilon, seed)
 
 
@@ -325,7 +321,6 @@ def strategy_mechanism(
     seed: int | None,
     *,
     budget: PrivacyBudget | None = None,
-    clamp: bool = False,
 ) -> NoisyAnswerSet:
     """Answer a workload through a fixed measurement strategy.
 
@@ -352,12 +347,9 @@ def strategy_mechanism(
     gram = matrix.T @ matrix + _RECONSTRUCTION_RIDGE * np.eye(padded)
     estimate = np.linalg.solve(gram, matrix.T @ measured)
 
-    answers = workload.matrix @ estimate[: hist.d]
-    if clamp:
-        answers = clamp_nonnegative(answers)
     return NoisyAnswerSet(
         workload,
-        answers,
+        workload.matrix @ estimate[: hist.d],
         sensitivity_used=strategy_sensitivity,
         epsilon_used=epsilon,
         seed=seed,

@@ -27,7 +27,7 @@ from .learning import (
 )
 from .mechanisms import PrivacyBudget, laplace_batch
 from .seeds import derive_seed
-from .workload import Workload, all_range_queries, all_subset_queries
+from .workload import _POOL_KINDS, Workload
 
 __all__ = [
     "MldpConfig",
@@ -41,8 +41,6 @@ __all__ = [
     "default_hypothesis_count",
 ]
 
-_POOL_KINDS = ("ranges", "subsets")
-
 
 @dataclass(frozen=True)
 class MldpConfig:
@@ -51,9 +49,10 @@ class MldpConfig:
     selection picks the training workload ("singleton", "greedy_cover"
     or "random_m"; random_m also needs m).  learner is "linear" or
     "rbf"; ridge defaults per learner and width_u defaults to the median
-    pairwise distance heuristic.  pool names the candidate pool used by
-    the non-singleton selections ("ranges" = all contiguous ranges,
-    "subsets" = all non-empty subsets).  Two runs with equal config,
+    pairwise distance heuristic.  pool names the candidate pool that
+    random_m draws from ("ranges" = all contiguous ranges, "subsets" =
+    all non-empty subsets); greedy_cover over either pool is the
+    singleton workload.  Two runs with equal config,
     histogram and seed produce byte-identical model files.
     """
 
@@ -104,42 +103,28 @@ class MldpConfig:
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
         kwargs = dict(data)
-        if "m" in kwargs and kwargs["m"] is not None:
-            kwargs["m"] = int(kwargs["m"])
-        if "seed" in kwargs:
-            kwargs["seed"] = int(kwargs["seed"])
-        return cls(**kwargs)
+        try:
+            if "m" in kwargs and kwargs["m"] is not None:
+                kwargs["m"] = int(kwargs["m"])
+            if "seed" in kwargs:
+                kwargs["seed"] = int(kwargs["seed"])
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"publish config field of the wrong type: {exc}") from None
 
 
-def training_workload_for(
-    hist_d: int, config: MldpConfig, pool: Workload | None = None
-) -> Workload:
+def training_workload_for(hist_d: int, config: MldpConfig) -> Workload:
     """The training workload a publish run with this config will buy.
 
     Exposed so experiment harnesses can account for training/test query
     overlap without re-implementing the selection seeding.
     """
-    if pool is None and config.selection != "singleton":
-        pool = (
-            all_range_queries(hist_d)
-            if config.pool == "ranges"
-            else all_subset_queries(hist_d)
-        )
-    if pool is None:
-        pool = Workload(hist_d, [])  # singleton selection only reads pool.d
-    elif pool.d != hist_d:
-        raise ValueError(f"pool has d={pool.d}, histogram has d={hist_d}")
     return select_training_set(
-        pool, config.selection, config.m, derive_seed(config.seed, "select")
+        hist_d, config.selection, config.m, derive_seed(config.seed, "select"), config.pool
     )
 
 
-def mldp_publish(
-    hist: Histogram,
-    config: MldpConfig,
-    budget: PrivacyBudget,
-    pool: Workload | None = None,
-) -> PublishedModel:
+def mldp_publish(hist: Histogram, config: MldpConfig, budget: PrivacyBudget) -> PublishedModel:
     """Select training queries, buy noisy answers, fit, and release.
 
     Charges exactly config.epsilon to the budget (the single Laplace
@@ -147,7 +132,7 @@ def mldp_publish(
     size, the training sensitivity, and the run seed in the model
     metadata.
     """
-    training_workload = training_workload_for(hist.d, config, pool)
+    training_workload = training_workload_for(hist.d, config)
     noisy = laplace_batch(
         training_workload,
         hist,

@@ -10,6 +10,7 @@ perturbs the full answer vector by exactly one (signed) column.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,15 @@ __all__ = [
     "LinearQuery",
     "Workload",
     "range_query",
+    "range_workload",
     "evaluate",
     "evaluate_workload",
     "workload_sensitivity",
     "brute_force_sensitivity",
     "all_range_queries",
     "all_subset_queries",
+    "pool_size",
+    "pool_queries",
     "random_range_workload",
     "save_workload_csv",
     "load_workload_csv",
@@ -33,7 +37,10 @@ __all__ = [
 
 _KINDS = ("range", "subset", "general")
 
-# all_subset_queries(d) materializes 2^d - 1 coefficient vectors.
+# The built-in candidate pools that training queries are selected from.
+_POOL_KINDS = ("ranges", "subsets")
+
+# The subsets pool has 2^d - 1 queries.
 _MAX_SUBSET_D = 20
 
 
@@ -99,9 +106,14 @@ class LinearQuery:
 
 
 class Workload:
-    """Immutable ordered collection of queries over a common bin domain."""
+    """Immutable ordered collection of queries over a common bin domain.
 
-    __slots__ = ("_d", "_queries", "_matrix")
+    Stored as its read-only (m x d) coefficient matrix plus each row's
+    kind and range bounds; indexing and iteration build validated
+    :class:`LinearQuery` views of the rows on demand.
+    """
+
+    __slots__ = ("_matrix", "_kinds", "_lo", "_hi")
 
     def __init__(self, d: int, queries):
         d = int(d)
@@ -113,26 +125,31 @@ class Workload:
                 raise TypeError(f"query {i} is not a LinearQuery")
             if q.d != d:
                 raise ValueError(f"query {i} has d={q.d}, workload has d={d}")
-        if queries:
-            matrix = np.stack([q.coeffs for q in queries])
-        else:
-            matrix = np.zeros((0, d))
+        matrix = np.stack([q.coeffs for q in queries]) if queries else np.zeros((0, d))
+        kinds = [q.kind for q in queries]
+        self._set(matrix, kinds, [q.lo for q in queries], [q.hi for q in queries])
+
+    def _set(self, matrix, kinds, lo, hi) -> "Workload":
         matrix.setflags(write=False)
-        self._d = d
-        self._queries = queries
-        self._matrix = matrix
+        self._matrix, self._kinds, self._lo, self._hi = matrix, tuple(kinds), tuple(lo), tuple(hi)
+        return self
+
+    @classmethod
+    def _of(cls, matrix, kinds, lo, hi) -> "Workload":
+        """A workload over rows already known to be valid for their kinds."""
+        return cls.__new__(cls)._set(matrix, kinds, lo, hi)
 
     @property
     def d(self) -> int:
-        return self._d
+        return self._matrix.shape[1]
 
     @property
     def m(self) -> int:
-        return len(self._queries)
+        return len(self._kinds)
 
     @property
     def queries(self) -> tuple[LinearQuery, ...]:
-        return self._queries
+        return tuple(self)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -140,39 +157,55 @@ class Workload:
         return self._matrix
 
     def __len__(self):
-        return len(self._queries)
+        return len(self._kinds)
 
     def __iter__(self):
-        return iter(self._queries)
+        return (self[i] for i in range(self.m))
 
     def __getitem__(self, i) -> LinearQuery:
-        return self._queries[i]
+        return LinearQuery(self._matrix[i], self._kinds[i], self._lo[i], self._hi[i])
 
     def __eq__(self, other):
         if not isinstance(other, Workload):
             return NotImplemented
-        return self._d == other._d and self._queries == other._queries
+        return (
+            self.d == other.d
+            and self._kinds == other._kinds
+            and np.array_equal(self._matrix, other._matrix)
+        )
 
     def __hash__(self):
-        return hash((self._d, self._queries))
+        return hash((self.d, self._kinds, self._matrix.tobytes()))
 
     def __repr__(self):
         return f"Workload(d={self.d}, m={self.m})"
 
 
-def range_query(lo: int, hi: int, d: int) -> LinearQuery:
-    """The contiguous range-count query over bins lo..hi (inclusive)."""
+def range_workload(d: int, lo, hi) -> Workload:
+    """The contiguous range-count queries over bins lo[i]..hi[i] (inclusive)."""
     d = int(d)
     if d < 1:
         raise ValueError("d must be at least 1")
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ValueError(f"inverted range [{lo}, {hi}]")
-    if lo < 0 or hi >= d:
-        raise ValueError(f"range [{lo}, {hi}] out of bounds for d={d}")
-    coeffs = np.zeros(d)
-    coeffs[lo : hi + 1] = 1.0
-    return LinearQuery(coeffs, kind="range", lo=lo, hi=hi)
+    lo = np.asarray(lo, dtype=np.int64).reshape(-1)
+    hi = np.asarray(hi, dtype=np.int64).reshape(-1)
+    if lo.shape != hi.shape:
+        raise ValueError(f"{lo.size} lower bounds for {hi.size} upper bounds")
+    inverted = np.flatnonzero(lo > hi)
+    if inverted.size:
+        i = inverted[0]
+        raise ValueError(f"inverted range [{lo[i]}, {hi[i]}]")
+    outside = np.flatnonzero((lo < 0) | (hi >= d))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"range [{lo[i]}, {hi[i]}] out of bounds for d={d}")
+    bins = np.arange(d)
+    matrix = ((bins >= lo[:, None]) & (bins <= hi[:, None])).astype(float)
+    return Workload._of(matrix, ("range",) * lo.size, lo.tolist(), hi.tolist())
+
+
+def range_query(lo: int, hi: int, d: int) -> LinearQuery:
+    """The contiguous range-count query over bins lo..hi (inclusive)."""
+    return range_workload(d, [int(lo)], [int(hi)])[0]
 
 
 def evaluate(query: LinearQuery, hist: Histogram) -> float:
@@ -224,35 +257,54 @@ def brute_force_sensitivity(workload: Workload, hist: Histogram) -> float:
     return worst
 
 
-def all_range_queries(d: int) -> Workload:
-    """All d(d+1)/2 contiguous range queries, longest first, then by lo."""
+def pool_size(d: int, pool: str) -> int:
+    """Number of queries in a built-in pool over d bins; subsets needs d <= 20."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    queries = []
-    for length in range(d, 0, -1):
-        for lo in range(0, d - length + 1):
-            queries.append(range_query(lo, lo + length - 1, d))
-    return Workload(d, queries)
+    if pool == "ranges":
+        return d * (d + 1) // 2
+    if pool == "subsets":
+        if d > _MAX_SUBSET_D:
+            raise ValueError(
+                f"the subsets pool over d={d} has 2^{d} - 1 queries; "
+                f"limit is d <= {_MAX_SUBSET_D}"
+            )
+        return (1 << d) - 1
+    raise ValueError(f"unknown pool {pool!r}; expected one of {_POOL_KINDS}")
+
+
+def pool_queries(d: int, positions, pool: str) -> Workload:
+    """The queries at the given positions of a built-in pool, in that order.
+
+    ranges: the d(d+1)/2 contiguous ranges, longest first, then by lo.
+    Position k lies in length group j = (isqrt(8k + 1) - 1) // 2, whose
+    d - j ranges start at position j(j+1)/2, so lo = k - j(j+1)/2 and
+    hi = lo + d - j - 1.
+
+    subsets: the 2^d - 1 non-empty 0/1 subset-sum queries; position k
+    is the subset with binary mask k + 1 (mask bit i selects bin i), so
+    for d=2 the order is [1,0], [0,1], [1,1].
+    """
+    k = np.asarray(positions, dtype=np.int64).reshape(-1)
+    size = pool_size(d, pool)
+    if k.size and (k.min() < 0 or k.max() >= size):
+        raise ValueError(f"pool positions must lie in [0, {size})")
+    if pool == "ranges":
+        j = (np.array([math.isqrt(8 * x + 1) for x in k.tolist()], dtype=np.int64) - 1) // 2
+        lo = k - j * (j + 1) // 2
+        return range_workload(d, lo, lo + d - j - 1)
+    matrix = (((k[:, None] + 1) >> np.arange(d)) & 1).astype(float)
+    return Workload._of(matrix, ("subset",) * k.size, (None,) * k.size, (None,) * k.size)
+
+
+def all_range_queries(d: int) -> Workload:
+    """All d(d+1)/2 contiguous range queries, longest first, then by lo."""
+    return pool_queries(d, np.arange(pool_size(d, "ranges")), "ranges")
 
 
 def all_subset_queries(d: int) -> Workload:
-    """All 2^d - 1 non-empty 0/1 subset-sum queries.
-
-    Ordered by the subset's binary mask (mask bit i selects bin i), so
-    for d=2 the order is [1,0], [0,1], [1,1].  Guarded at d <= 20: the
-    workload has 2^d - 1 rows of d coefficients.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if d > _MAX_SUBSET_D:
-        raise ValueError(
-            f"d={d} would materialize 2^{d} - 1 queries; limit is d <= {_MAX_SUBSET_D}"
-        )
-    queries = []
-    for mask in range(1, 1 << d):
-        coeffs = [(mask >> i) & 1 for i in range(d)]
-        queries.append(LinearQuery(coeffs, kind="subset"))
-    return Workload(d, queries)
+    """All 2^d - 1 non-empty 0/1 subset-sum queries, ordered by mask; d <= 20."""
+    return pool_queries(d, np.arange(pool_size(d, "subsets")), "subsets")
 
 
 def random_range_workload(d: int, m: int, seed: int) -> Workload:
@@ -269,9 +321,7 @@ def random_range_workload(d: int, m: int, seed: int) -> Workload:
     rng = np.random.default_rng(seed)
     a = rng.integers(0, d, size=m)
     b = rng.integers(0, d, size=m)
-    lows = np.minimum(a, b)
-    highs = np.maximum(a, b)
-    return Workload(d, [range_query(int(lo), int(hi), d) for lo, hi in zip(lows, highs)])
+    return range_workload(d, np.minimum(a, b), np.maximum(a, b))
 
 
 def save_workload_csv(workload: Workload, path) -> None:
@@ -284,10 +334,10 @@ def save_workload_csv(workload: Workload, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "lo", "hi", "coeffs"])
-        for q in workload:
-            lo = "" if q.lo is None else q.lo
-            hi = "" if q.hi is None else q.hi
-            writer.writerow([q.kind, lo, hi, " ".join(repr(float(c)) for c in q.coeffs)])
+        # Straight from the stored rows; csv writes a missing bound as "".
+        rows = zip(workload._kinds, workload._lo, workload._hi, workload.matrix.tolist())
+        for kind, lo, hi, coeffs in rows:
+            writer.writerow([kind, lo, hi, " ".join(map(repr, coeffs))])
 
 
 def load_workload_csv(path) -> Workload:

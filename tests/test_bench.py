@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,18 @@ import pytest
 from mldp import (
     DatasetSpec,
     ExperimentConfig,
+    MldpConfig,
+    PrivacyBudget,
     emit_report,
     mae,
+    mldp_publish,
     read_report_csv,
     run_sweep,
     save_histogram_csv,
 )
-from mldp import bench
 from mldp.bench import MECHANISMS
+from mldp.learning import SELECTION_STRATEGIES
+from mldp.workload import _POOL_KINDS as POOL_KINDS
 
 SIM = DatasetSpec(d=16, max_count=100, seed=11)
 
@@ -200,21 +205,26 @@ class TestEpsilonSweep:
         assert run_sweep(config).to_dict() == run_sweep(config).to_dict()
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2),
-        small_config(
-            sweep_variable="training_m", grid=(5.0, 20.0), mechanisms=("laplace",), trials=2
-        ),
-    ],
-    ids=["singleton-epsilon", "baselines-only-training_m"],
-)
-def test_range_pool_built_only_for_pool_selection(monkeypatch, config):
-    def no_pool(d):
-        raise AssertionError("the range pool was built")
+def test_no_pool_is_ever_built(monkeypatch):
+    """Selection maps pool positions to queries; it never builds a pool."""
 
-    monkeypatch.setattr(bench, "all_range_queries", no_pool)
+    def no_pool(d):
+        raise AssertionError("a query pool was built")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mldp" or name.startswith("mldp."):
+            for attr in ("all_range_queries", "all_subset_queries"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, no_pool)
+    hist = SIM.load()
+    for pool in POOL_KINDS:
+        for selection in SELECTION_STRATEGIES:
+            m = 20 if selection == "random_m" else None
+            config = MldpConfig(selection=selection, m=m, pool=pool)
+            assert mldp_publish(hist, config, PrivacyBudget(1.0)).d == hist.d
+    config = small_config(
+        sweep_variable="training_m", grid=(5.0, 20.0), selection="random_m", trials=2
+    )
     report = run_sweep(config)
     assert len(report.rows) == len(config.mechanisms) * len(config.grid)
 

@@ -115,6 +115,17 @@ class TestPublishAnswer:
         assert rc == 2
         assert "must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [{"epsilon": "1"}, {"epsilon": None}, {"m": [5]}])
+    def test_publish_rejects_config_fields_of_the_wrong_type(
+        self, capsys, tmp_path, hist_csv, field
+    ):
+        config = publish_config(tmp_path, **{"selection": "random_m", "m": 5, **field})
+        out = tmp_path / "m.json"
+        rc = main(["publish", hist_csv, "--config", config, "--out", str(out)])
+        assert rc == 2
+        assert "error: publish config field of the wrong type" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_answer_rejects_dimension_mismatch(
         self, capsys, tmp_path, hist_csv, workload_csv
     ):
@@ -210,6 +221,14 @@ class TestBench:
         rc = main(["bench", str(p), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"mechanisms": 5}, {"epsilon": "1"}, {"grid": None}])
+    def test_rejects_config_fields_of_the_wrong_type(self, capsys, tmp_path, field):
+        out = tmp_path / "r.csv"
+        rc = main(["bench", self.bench_config(tmp_path, **field), "--out", str(out)])
+        assert rc == 2
+        assert "error: experiment config field of the wrong type" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_empty_mechanisms_before_writing(self, capsys, tmp_path):
         out = tmp_path / "r.csv"

@@ -17,8 +17,6 @@ from mldp import (
     PublishedModel,
     TrainingSet,
     Workload,
-    all_range_queries,
-    all_subset_queries,
     fit_linear,
     fit_rbf,
     laplace_batch,
@@ -91,75 +89,51 @@ class TestTrainingSet:
 
 
 class TestSelection:
-    def test_singleton_builds_one_query_per_bin(self, ranges4):
-        w = select_training_set(ranges4, "singleton")
+    def test_singleton_builds_one_query_per_bin(self):
+        w = select_training_set(4, "singleton")
         assert [(q.lo, q.hi) for q in w] == [(0, 0), (1, 1), (2, 2), (3, 3)]
         np.testing.assert_array_equal(w.matrix, np.eye(4))
 
-    def test_singleton_needs_only_the_domain(self):
-        w = select_training_set(Workload(3, []), "singleton")
-        assert w.m == 3
-
-    def test_greedy_on_all_ranges_picks_the_singletons(self, ranges4):
-        w = select_training_set(ranges4, "greedy_cover")
+    def test_greedy_on_all_ranges_picks_the_singletons(self):
+        w = select_training_set(4, "greedy_cover")
         assert [(q.lo, q.hi) for q in w] == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
-    def test_greedy_prefers_small_disjoint_queries(self):
-        pool = Workload(
-            4,
-            [
-                LinearQuery([1.0, 1.0, 1.0, 1.0], kind="subset"),
-                LinearQuery([1.0, 1.0, 0.0, 0.0], kind="subset"),
-                LinearQuery([0.0, 0.0, 1.0, 1.0], kind="subset"),
-            ],
-        )
-        w = select_training_set(pool, "greedy_cover")
-        assert [tuple(q.coeffs) for q in w] == [(1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0)]
+    def test_greedy_on_all_subsets_picks_the_singleton_ranges(self):
+        w = select_training_set(4, "greedy_cover", pool="subsets")
+        assert [(q.kind, q.lo, q.hi) for q in w] == [("range", i, i) for i in range(4)]
 
-    def test_greedy_ties_broken_by_new_coverage(self):
-        pool = Workload(
-            3,
-            [
-                LinearQuery([1.0, 0.0, 0.0], kind="subset"),
-                LinearQuery([1.0, 1.0, 0.0], kind="subset"),
-                LinearQuery([0.0, 1.0, 1.0], kind="subset"),
-            ],
-        )
-        w = select_training_set(pool, "greedy_cover")
-        assert [tuple(q.coeffs) for q in w] == [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0)]
-
-    def test_greedy_reports_uncoverable_bins(self):
-        pool = Workload(3, [LinearQuery([1.0, 0.0, 0.0], kind="subset")])
-        with pytest.raises(ValueError, match=r"cannot cover bins \[1, 2\]"):
-            select_training_set(pool, "greedy_cover")
+    def test_greedy_over_subsets_has_no_size_limit(self):
+        assert select_training_set(64, "greedy_cover", pool="subsets").m == 64
+        with pytest.raises(ValueError, match="limit"):
+            select_training_set(21, "random_m", m=5, pool="subsets")
 
     def test_random_m_is_deterministic_and_from_pool(self, ranges4):
-        a = select_training_set(ranges4, "random_m", m=25, seed=3)
-        b = select_training_set(ranges4, "random_m", m=25, seed=3)
-        c = select_training_set(ranges4, "random_m", m=25, seed=4)
+        a = select_training_set(4, "random_m", m=25, seed=3)
+        b = select_training_set(4, "random_m", m=25, seed=3)
+        c = select_training_set(4, "random_m", m=25, seed=4)
         assert a == b
         assert a != c
         assert a.m == 25
         pool_queries = set(ranges4.queries)
         assert all(q in pool_queries for q in a)
 
-    def test_random_m_samples_with_replacement(self, ranges4):
-        w = select_training_set(ranges4, "random_m", m=50, seed=0)
+    def test_random_m_samples_with_replacement(self):
+        w = select_training_set(4, "random_m", m=50, seed=0)
         assert len(set(w.queries)) < 50  # pigeonhole: pool has only 10
 
-    def test_random_m_requires_m(self, ranges4):
+    def test_random_m_requires_m(self):
         with pytest.raises(ValueError, match="m >= 1"):
-            select_training_set(ranges4, "random_m")
+            select_training_set(4, "random_m")
         with pytest.raises(ValueError, match="m >= 1"):
-            select_training_set(ranges4, "random_m", m=0)
+            select_training_set(4, "random_m", m=0)
 
-    def test_empty_pool_rejected_for_pool_strategies(self):
-        with pytest.raises(ValueError, match="at least one query"):
-            select_training_set(Workload(3, []), "greedy_cover")
-
-    def test_unknown_strategy(self, ranges4):
+    def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown selection strategy"):
-            select_training_set(ranges4, "exhaustive")
+            select_training_set(4, "exhaustive")
+
+    def test_unknown_pool(self):
+        with pytest.raises(ValueError, match="unknown pool"):
+            select_training_set(4, "singleton", pool="wavelets")
 
 
 GOLDEN_SELECTIONS = json.loads(
@@ -177,8 +151,7 @@ def test_selections_match_golden(name):
     pool, strategy, d, *rest = name.split("/")
     d = int(d[2:])
     m, seed = (int(part.split("=")[1]) for part in rest) if rest else (None, None)
-    full = all_range_queries(d) if pool == "ranges" else all_subset_queries(d)
-    w = select_training_set(full, strategy, m, seed)
+    w = select_training_set(d, strategy, m, seed, pool=pool)
     golden = GOLDEN_SELECTIONS[name]
     expected = np.zeros((len(golden["rows"]), d))
     for i, (kind, row) in enumerate(zip(golden["kinds"], golden["rows"], strict=True)):

@@ -155,15 +155,6 @@ class TestLaplaceBatch:
             errs.append(np.abs(out.answers - ranges4_answers).mean())
         assert abs(float(np.mean(errs)) - 3.0) < 0.15  # within 5%
 
-    def test_clamp_floors_at_zero(self):
-        h = Histogram([0.0, 0.0, 0.0])
-        w = Workload(3, [range_query(i, i, 3) for i in range(3)])
-        b = PrivacyBudget(math.inf)
-        raw = laplace_batch(w, h, b, 0.5, seed=9)
-        clamped = laplace_batch(w, h, b, 0.5, seed=9, clamp=True)
-        assert raw.answers.min() < 0
-        np.testing.assert_array_equal(clamped.answers, clamp_nonnegative(raw.answers))
-
     def test_dimension_mismatch(self, ranges4):
         b = PrivacyBudget(1.0)
         with pytest.raises(ValueError, match="d=3"):
@@ -361,11 +352,6 @@ class TestStrategyMechanism:
     def test_unknown_strategy(self, hist4, ranges4):
         with pytest.raises(ValueError, match="unknown strategy"):
             strategy_mechanism(ranges4, "wavelet", hist4, 1.0, seed=0)
-
-    def test_clamp(self, ranges4):
-        h = Histogram([0.0, 0.0, 0.0, 0.0])
-        out = strategy_mechanism(ranges4, "identity", h, 0.2, seed=1, clamp=True)
-        assert out.answers.min() >= 0.0
 
 
 def test_clamp_nonnegative():

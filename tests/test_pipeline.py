@@ -13,8 +13,6 @@ from mldp import (
     MldpConfig,
     PrivacyBudget,
     TrainingSet,
-    Workload,
-    all_range_queries,
     default_hypothesis_count,
     evaluate_workload,
     fit_linear,
@@ -23,7 +21,6 @@ from mldp import (
     model_error_bound,
     noise_error_bound,
     predict,
-    range_query,
     save_model,
     total_error_bound,
     training_workload_for,
@@ -125,17 +122,6 @@ class TestPublish:
         w = training_workload_for(hist4.d, config)
         assert w.m == 6
         assert all(q.kind == "subset" for q in w)
-
-    def test_explicit_pool_overrides_the_config_pool(self, hist4):
-        pool = Workload(4, [range_query(0, 1, 4), range_query(2, 3, 4)])
-        config = MldpConfig(epsilon=1.0, selection="random_m", m=5, seed=1)
-        w = training_workload_for(hist4.d, config, pool)
-        assert all(q in set(pool.queries) for q in w)
-
-    def test_pool_dimension_mismatch(self, hist4):
-        config = MldpConfig(epsilon=1.0, selection="random_m", m=5)
-        with pytest.raises(ValueError, match="pool has d=3"):
-            training_workload_for(hist4.d, config, all_range_queries(3))
 
     def test_greedy_selection_through_the_pipeline(self, hist4):
         config = MldpConfig(**{**ZERO_NOISE, "selection": "greedy_cover"})

@@ -22,6 +22,7 @@ from mldp import (
     save_workload_csv,
     workload_sensitivity,
 )
+from mldp.workload import pool_queries, range_workload
 
 
 class TestLinearQuery:
@@ -114,6 +115,44 @@ class TestWorkload:
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError, match="at least 1"):
             Workload(0, [])
+
+    def test_rows_are_validated_query_views(self, ranges4):
+        assert ranges4.queries == tuple(ranges4)
+        assert ranges4[-1] == range_query(3, 3, 4)
+        assert (ranges4[-1].lo, ranges4[-1].hi) == (3, 3)
+        subsets = all_subset_queries(2)
+        assert [q.kind for q in subsets] == ["subset"] * 3
+        assert subsets[2].lo is None
+
+    def test_equality_compares_kinds_and_matrix(self):
+        ranges = Workload(2, [range_query(0, 0, 2), range_query(0, 1, 2)])
+        subsets = Workload(
+            2, [LinearQuery([1.0, 0.0], kind="subset"), LinearQuery([1.0, 1.0], kind="subset")]
+        )
+        np.testing.assert_array_equal(ranges.matrix, subsets.matrix)
+        assert ranges != subsets
+        again = Workload(2, [range_query(0, 0, 2), range_query(0, 1, 2)])
+        assert ranges == again
+        assert hash(ranges) == hash(again)
+
+    def test_range_workload_equals_query_by_query_construction(self):
+        lo, hi = [0, 2, 1, 4], [4, 2, 3, 4]
+        w = range_workload(5, lo, hi)
+        expected = Workload(5, [range_query(a, b, 5) for a, b in zip(lo, hi)])
+        assert w == expected
+        assert hash(w) == hash(expected)
+        assert [(q.lo, q.hi) for q in w] == list(zip(lo, hi))
+        assert range_workload(5, [], []) == Workload(5, [])
+
+    def test_range_workload_rejects_bad_bounds(self):
+        with pytest.raises(ValueError, match=r"inverted range \[3, 2\]"):
+            range_workload(4, [0, 3], [1, 2])
+        with pytest.raises(ValueError, match=r"range \[1, 4\] out of bounds for d=4"):
+            range_workload(4, [0, 1], [1, 4])
+        with pytest.raises(ValueError, match="2 lower bounds for 1 upper bounds"):
+            range_workload(4, [0, 1], [1])
+        with pytest.raises(ValueError, match="at least 1"):
+            range_workload(0, [], [])
 
 
 class TestEvaluate:
@@ -245,6 +284,32 @@ class TestGenerators:
         w = all_range_queries(10)
         assert w.m == 55
         assert workload_sensitivity(w) == 30.0
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_range_pool_map(self, d):
+        pool = all_range_queries(d)
+        spans = [(lo, lo + n - 1) for n in range(d, 0, -1) for lo in range(d - n + 1)]
+        assert [(q.lo, q.hi) for q in pool] == spans
+        for k in range(pool.m):
+            assert pool_queries(d, [k], "ranges")[0] == pool[k]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_subset_pool_map(self, d):
+        pool = all_subset_queries(d)
+        masks = [[(mask >> i) & 1 for i in range(d)] for mask in range(1, 1 << d)]
+        np.testing.assert_array_equal(pool.matrix, masks)
+        for k in range(pool.m):
+            assert pool_queries(d, [k], "subsets")[0] == pool[k]
+
+    def test_pool_map_rejects_bad_positions_and_pools(self):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            pool_queries(2, [3], "ranges")
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            pool_queries(2, [-1], "subsets")
+        with pytest.raises(ValueError, match="unknown pool"):
+            pool_queries(2, [0], "wavelets")
+        with pytest.raises(ValueError, match="limit"):
+            pool_queries(21, [0], "subsets")
 
     def test_all_subsets_d2_order(self):
         w = all_subset_queries(2)
