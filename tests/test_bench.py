@@ -205,8 +205,9 @@ class TestEpsilonSweep:
         assert run_sweep(config).to_dict() == run_sweep(config).to_dict()
 
 
-def test_no_pool_is_ever_built(monkeypatch):
-    """Selection maps pool positions to queries; it never builds a pool."""
+@pytest.fixture
+def no_pool_builders(monkeypatch):
+    """Make every mldp namespace's pool builders fail if called."""
 
     def no_pool(d):
         raise AssertionError("a query pool was built")
@@ -216,6 +217,25 @@ def test_no_pool_is_ever_built(monkeypatch):
             for attr in ("all_range_queries", "all_subset_queries"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, no_pool)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2),
+        small_config(
+            sweep_variable="training_m", grid=(5.0, 20.0), mechanisms=("laplace",), trials=2
+        ),
+    ],
+    ids=["singleton-epsilon", "baselines-only-training_m"],
+)
+def test_range_pool_built_only_for_pool_selection(no_pool_builders, config):
+    report = run_sweep(config)
+    assert len(report.rows) == len(config.mechanisms) * len(config.grid)
+
+
+def test_no_pool_is_ever_built(no_pool_builders):
+    """Selection maps pool positions to queries; it never builds a pool."""
     hist = SIM.load()
     for pool in POOL_KINDS:
         for selection in SELECTION_STRATEGIES:
