@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from mldp import (
     Workload,
     clamp_nonnegative,
     evaluate_workload,
+    generate_simulated_histogram,
     laplace_batch,
     laplace_sample,
     mwem_publish,
+    random_range_workload,
     range_query,
     save_noisy_answers,
     strategy_mechanism,
@@ -352,6 +355,37 @@ class TestStrategyMechanism:
     def test_unknown_strategy(self, hist4, ranges4):
         with pytest.raises(ValueError, match="unknown strategy"):
             strategy_mechanism(ranges4, "wavelet", hist4, 1.0, seed=0)
+
+
+GOLDEN_STRATEGY = json.loads(
+    (Path(__file__).parent / "data" / "golden_strategy.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_STRATEGY))
+def test_strategy_answers_match_golden(name):
+    """Strategy answers and sensitivities match the pinned fixture.
+
+    Keys read "<strategy>/d=<d>".  Each entry was written with
+    OPENBLAS_NUM_THREADS=1 from strategy_mechanism(random_range_workload(
+    d, 40, seed=d), strategy, generate_simulated_histogram(d, 1000,
+    seed=7), 0.5, seed=11).  The sensitivity must match exactly; the
+    answers to a relative 1e-12, because BLAS threading moves the last
+    bits of the hierarchical solve (by 1.1e-15 at d=100 between one and
+    two threads).
+    """
+    strategy, d = name.split("/")
+    d = int(d[2:])
+    out = strategy_mechanism(
+        random_range_workload(d, 40, seed=d),
+        strategy,
+        generate_simulated_histogram(d, 1000, seed=7),
+        0.5,
+        seed=11,
+    )
+    golden = GOLDEN_STRATEGY[name]
+    assert out.sensitivity_used == golden["sensitivity_used"]
+    np.testing.assert_allclose(out.answers, golden["answers"], rtol=1e-12, atol=0)
 
 
 def test_clamp_nonnegative():
