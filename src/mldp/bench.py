@@ -21,7 +21,7 @@ from ._version import __version__
 from .histogram import Histogram, generate_simulated_histogram, load_histogram_csv
 from .learning import MODEL_KINDS, SELECTION_STRATEGIES, predict
 from .mechanisms import PrivacyBudget, laplace_batch, mwem_publish, strategy_mechanism
-from .pipeline import MldpConfig, mldp_publish, training_workload_for
+from .pipeline import MldpConfig, _check_int, mldp_publish, training_workload_for
 from .seeds import derive_seed
 from .workload import Workload, evaluate_workload, random_range_workload
 
@@ -107,13 +107,12 @@ class DatasetSpec:
         if "simulated" in data:
             sim = data["simulated"]
             try:
-                return cls(
-                    d=int(sim["d"]),
-                    max_count=int(sim["max_count"]),
-                    seed=int(sim["seed"]),
-                )
+                fields = {key: sim[key] for key in ("d", "max_count", "seed")}
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad simulated dataset spec: {exc}") from None
+            for key, value in fields.items():
+                _check_int(value, f"dataset {key}", "experiment config")
+            return cls(**fields)
         raise ValueError("dataset spec needs 'path' or 'simulated'")
 
 
@@ -206,12 +205,12 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys {sorted(missing)}")
         kwargs = dict(data)
         kwargs["dataset"] = DatasetSpec.from_dict(data["dataset"])
+        for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
+            if key in kwargs:
+                _check_int(kwargs[key], key, "experiment config")
         try:
             kwargs["mechanisms"] = tuple(data["mechanisms"])
             kwargs["grid"] = tuple(data["grid"])
-            for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"experiment config field of the wrong type: {exc}") from None

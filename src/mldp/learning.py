@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mechanisms import NoisyAnswerSet
 from .workload import _POOL_KINDS, Workload, pool_queries, pool_size, range_workload
+
+if TYPE_CHECKING:
+    from .mechanisms import NoisyAnswerSet
 
 __all__ = [
     "TrainingSet",
@@ -246,6 +249,11 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, width_u: float) -> np.ndarray:
     """Gaussian kernel matrix k(x, y) = exp(-||x - y||^2 / (2 u^2))."""
     if not width_u > 0:
         raise ValueError("width_u must be positive")
+    return np.exp(-_squared_distances(a, b) / (2.0 * width_u * width_u))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared row distances by ||x||^2 + ||y||^2 - 2 x.y: O(m^2) memory, not O(m^2 d)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sq = (
@@ -253,7 +261,7 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, width_u: float) -> np.ndarray:
         + np.sum(b * b, axis=1)[None, :]
         - 2.0 * (a @ b.T)
     )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * width_u * width_u))
+    return np.maximum(sq, 0.0)
 
 
 def median_pairwise_distance(features: np.ndarray) -> float:
@@ -261,15 +269,14 @@ def median_pairwise_distance(features: np.ndarray) -> float:
 
     The usual bandwidth heuristic for the rbf width.  Falls back to 1.0
     when every pairwise distance is zero (all rows identical or a single
-    row).
+    row).  Needs O(m^2) memory for m rows; the squared distances (the
+    Gram trick of :func:`rbf_kernel`) are exact for integer-valued rows
+    such as pool queries.
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
+    n = len(features)
     if n < 2:
         return 1.0
-    diffs = features[:, None, :] - features[None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=2))
-    upper = dists[np.triu_indices(n, k=1)]
+    upper = np.sqrt(_squared_distances(features, features)[np.triu_indices(n, k=1)])
     positive = upper[upper > 0]
     if positive.size == 0:
         return 1.0
@@ -390,9 +397,3 @@ def load_model(path) -> PublishedModel:
         )
     return model
 
-
-def with_meta_seed(model: PublishedModel, seed: int | None) -> PublishedModel:
-    """Copy of the model with the metadata seed replaced."""
-    if model.meta is None:
-        return model
-    return replace(model, meta=replace(model.meta, seed=seed))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histogram import Histogram
-from .workload import Workload, evaluate_workload, workload_sensitivity
+from .learning import TrainingSet, fit_linear
+from .workload import Workload, evaluate_workload, range_workload, workload_sensitivity
 
 __all__ = [
     "InsufficientBudgetError",
@@ -184,10 +185,15 @@ def laplace_batch(
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
     epsilon = _check_epsilon(epsilon)
-    sensitivity = workload_sensitivity(workload)
     if workload.m == 0:
-        return NoisyAnswerSet(workload, np.zeros(0), sensitivity, epsilon, seed)
+        return NoisyAnswerSet(workload, np.zeros(0), 0.0, epsilon, seed)
     budget.charge(f"laplace batch m={workload.m}", epsilon)
+    return _release(workload, hist, epsilon, seed)
+
+
+def _release(workload: Workload, hist: Histogram, epsilon: float, seed) -> NoisyAnswerSet:
+    """Laplace answers scaled to the workload's joint sensitivity; charges nothing."""
+    sensitivity = workload_sensitivity(workload)
     rng = np.random.default_rng(seed)
     scale = _noise_scale(sensitivity, epsilon)
     answers = evaluate_workload(workload, hist) + _laplace_noise(scale, workload.m, rng)
@@ -291,25 +297,15 @@ def mwem_publish(
     return synthetic, evaluate_workload(workload, synthetic)
 
 
-def _strategy_matrix(strategy: str, d: int) -> tuple[np.ndarray, float, int]:
-    """Measurement matrix, its sensitivity, and the padded domain size."""
+def _strategy_workload(strategy: str, d: int) -> Workload:
+    """The d single bins, or the dyadic intervals over d padded to 2^k, root level first."""
     if strategy == "identity":
-        return np.eye(d), 1.0, d
+        return range_workload(d, np.arange(d), np.arange(d))
     if strategy == "hierarchical":
-        padded = 1
-        while padded < d:
-            padded *= 2
-        levels = int(math.log2(padded)) + 1
-        rows = []
-        length = padded
-        while length >= 1:
-            for k in range(padded // length):
-                row = np.zeros(padded)
-                row[k * length : (k + 1) * length] = 1.0
-                rows.append(row)
-            length //= 2
-        # Every bin lies in exactly one interval per level.
-        return np.stack(rows), float(levels), padded
+        padded = 1 << (d - 1).bit_length()
+        lengths = padded >> np.arange(padded.bit_length())
+        lo = np.concatenate([np.arange(0, padded, n) for n in lengths])
+        return range_workload(padded, lo, lo + np.repeat(lengths, padded // lengths) - 1)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -325,32 +321,27 @@ def strategy_mechanism(
     """Answer a workload through a fixed measurement strategy.
 
     The strategy workload A (singleton bins, or the dyadic interval tree
-    over the domain padded to a power of two) is measured with Laplace
-    noise scaled to A's own sensitivity, a bin estimate is reconstructed
-    by regularized least squares, and the requested workload is answered
-    exactly on that estimate.  Charges exactly ``epsilon``.
+    over the domain padded to a power of two) gets one Laplace release
+    scaled to A's own sensitivity, the bin estimate is ``fit_linear`` on
+    those noisy answers, and the requested workload is answered exactly
+    on that estimate.  Charges exactly ``epsilon``.
     """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
     epsilon = _check_epsilon(epsilon)
-    matrix, strategy_sensitivity, padded = _strategy_matrix(strategy, hist.d)
+    strategy_workload = _strategy_workload(strategy, hist.d)
     if budget is None:
         budget = PrivacyBudget(epsilon)
     budget.charge(f"strategy {strategy}", epsilon)
 
-    padded_bins = np.zeros(padded)
-    padded_bins[: hist.d] = hist.bins
-    rng = np.random.default_rng(seed)
-    scale = _noise_scale(strategy_sensitivity, epsilon)
-    measured = matrix @ padded_bins + _laplace_noise(scale, matrix.shape[0], rng)
-
-    gram = matrix.T @ matrix + _RECONSTRUCTION_RIDGE * np.eye(padded)
-    estimate = np.linalg.solve(gram, matrix.T @ measured)
+    padded = Histogram(np.pad(hist.bins, (0, strategy_workload.d - hist.d)))
+    measured = _release(strategy_workload, padded, epsilon, seed)
+    estimate = fit_linear(TrainingSet.from_noisy_answers(measured), ridge=_RECONSTRUCTION_RIDGE)
 
     return NoisyAnswerSet(
         workload,
-        workload.matrix @ estimate[: hist.d],
-        sensitivity_used=strategy_sensitivity,
+        workload.matrix @ estimate.weights[1 : hist.d + 1],
+        sensitivity_used=measured.sensitivity_used,
         epsilon_used=epsilon,
         seed=seed,
         mechanism=f"strategy-{strategy}",

@@ -23,7 +23,6 @@ from .learning import (
     fit_linear,
     fit_rbf,
     select_training_set,
-    with_meta_seed,
 )
 from .mechanisms import PrivacyBudget, laplace_batch
 from .seeds import derive_seed
@@ -103,14 +102,19 @@ class MldpConfig:
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
         kwargs = dict(data)
+        for key in ("m", "seed"):
+            if key in kwargs and (key == "seed" or kwargs[key] is not None):
+                _check_int(kwargs[key], key, "publish config")
         try:
-            if "m" in kwargs and kwargs["m"] is not None:
-                kwargs["m"] = int(kwargs["m"])
-            if "seed" in kwargs:
-                kwargs["seed"] = int(kwargs["seed"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"publish config field of the wrong type: {exc}") from None
+
+
+def _check_int(value, field: str, config: str) -> None:
+    """Refuse, not coerce, a non-int (bool, float, str, ...) integer config field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{config} field of the wrong type: {field}={value!r} is not an integer")
 
 
 def training_workload_for(hist_d: int, config: MldpConfig) -> Workload:
@@ -140,14 +144,19 @@ def mldp_publish(hist: Histogram, config: MldpConfig, budget: PrivacyBudget) -> 
         config.epsilon,
         derive_seed(config.seed, "noise"),
     )
-    training = TrainingSet.from_noisy_answers(noisy)
+    # The model records the run seed, not the derived noise seed.
+    training = TrainingSet(
+        training_workload.matrix,
+        noisy.answers,
+        noisy.sensitivity_used,
+        noisy.epsilon_used,
+        seed=config.seed,
+    )
     if config.learner == "linear":
         ridge = DEFAULT_LINEAR_RIDGE if config.ridge is None else config.ridge
-        model = fit_linear(training, ridge=ridge)
-    else:
-        ridge = DEFAULT_RBF_RIDGE if config.ridge is None else config.ridge
-        model = fit_rbf(training, width_u=config.width_u, ridge=ridge)
-    return with_meta_seed(model, config.seed)
+        return fit_linear(training, ridge=ridge)
+    ridge = DEFAULT_RBF_RIDGE if config.ridge is None else config.ridge
+    return fit_rbf(training, width_u=config.width_u, ridge=ridge)
 
 
 @dataclass(frozen=True)

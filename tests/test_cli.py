@@ -115,7 +115,10 @@ class TestPublishAnswer:
         assert rc == 2
         assert "must be an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", [{"epsilon": "1"}, {"epsilon": None}, {"m": [5]}])
+    @pytest.mark.parametrize(
+        "field",
+        [{"epsilon": "1"}, {"epsilon": None}, {"m": [5]}, {"seed": 1.7}, {"m": "5"}],
+    )
     def test_publish_rejects_config_fields_of_the_wrong_type(
         self, capsys, tmp_path, hist_csv, field
     ):
@@ -222,7 +225,16 @@ class TestBench:
         assert rc == 2
         assert "must be an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", [{"mechanisms": 5}, {"epsilon": "1"}, {"grid": None}])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"mechanisms": 5},
+            {"epsilon": "1"},
+            {"grid": None},
+            {"trials": 2.9},
+            {"dataset": {"simulated": {"d": True, "max_count": 50, "seed": 3}}},
+        ],
+    )
     def test_rejects_config_fields_of_the_wrong_type(self, capsys, tmp_path, field):
         out = tmp_path / "r.csv"
         rc = main(["bench", self.bench_config(tmp_path, **field), "--out", str(out)])

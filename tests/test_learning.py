@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +268,29 @@ class TestKernel:
         feats = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
         # Distances: 5, 0 (ignored), 5 -> median 5.
         assert median_pairwise_distance(feats) == 5.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_median_pairwise_distance_matches_brute_force_on_0_1_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(0, 2, size=(25, 9)).astype(float)
+        feats[20:] = feats[:5]  # duplicate rows are skipped as zero distances
+        dists = [
+            math.dist(feats[i], feats[j]) for i in range(25) for j in range(i + 1, 25)
+        ]
+        assert median_pairwise_distance(feats) == statistics.median(
+            [x for x in dists if x > 0]
+        )
+
+    def test_median_pairwise_distance_memory_is_quadratic_in_rows(self):
+        # An m x m x d difference array here would take about 150 MiB.
+        feats = np.random.default_rng(0).integers(0, 2, size=(200, 256)).astype(float)
+        tracemalloc.start()
+        try:
+            median_pairwise_distance(feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_median_pairwise_distance_fallbacks(self):
         assert median_pairwise_distance(np.array([[1.0, 2.0]])) == 1.0

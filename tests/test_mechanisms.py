@@ -26,6 +26,7 @@ from mldp import (
     range_query,
     save_noisy_answers,
     strategy_mechanism,
+    workload_sensitivity,
 )
 from mldp import mechanisms
 from mldp.mechanisms import _exponential_mechanism
@@ -355,6 +356,36 @@ class TestStrategyMechanism:
     def test_unknown_strategy(self, hist4, ranges4):
         with pytest.raises(ValueError, match="unknown strategy"):
             strategy_mechanism(ranges4, "wavelet", hist4, 1.0, seed=0)
+
+
+def _dense_strategy_matrix(strategy: str, d: int) -> tuple[np.ndarray, float, int]:
+    """Reference: the strategy matrix built row by row, its sensitivity and padded d."""
+    if strategy == "identity":
+        return np.eye(d), 1.0, d
+    padded = 1
+    while padded < d:
+        padded *= 2
+    levels = int(math.log2(padded)) + 1
+    rows = []
+    length = padded
+    while length >= 1:
+        for k in range(padded // length):
+            row = np.zeros(padded)
+            row[k * length : (k + 1) * length] = 1.0
+            rows.append(row)
+        length //= 2
+    # Every bin lies in exactly one interval per level.
+    return np.stack(rows), float(levels), padded
+
+
+@pytest.mark.parametrize("strategy", ["identity", "hierarchical"])
+def test_strategy_workload_matches_dense_reference(strategy):
+    for d in range(1, 41):
+        matrix, sensitivity, padded = _dense_strategy_matrix(strategy, d)
+        w = mechanisms._strategy_workload(strategy, d)
+        assert w.d == padded, d
+        assert np.array_equal(w.matrix, matrix), d
+        assert workload_sensitivity(w) == sensitivity, d
 
 
 GOLDEN_STRATEGY = json.loads(
