@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -413,3 +416,18 @@ class TestWorkloadCsv:
         p.write_text("kind,lo,hi,coeffs\nrange,1,0,1.0 1.0\n")
         with pytest.raises(ValueError, match="row 1"):
             load_workload_csv(p)
+
+
+GOLDEN_CSV_ERRORS = json.loads(
+    (Path(__file__).parent / "data" / "golden_workload_csv_errors.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_ERRORS))
+def test_csv_errors_match_golden(tmp_path, name):
+    case = GOLDEN_CSV_ERRORS[name]
+    p = tmp_path / "w.csv"
+    p.write_bytes(case["csv"].encode("utf-8"))
+    with pytest.raises(ValueError) as info:
+        load_workload_csv(p)
+    assert str(info.value) == f"{p}: {case['message']}"
