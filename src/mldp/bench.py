@@ -19,9 +19,9 @@ import numpy as np
 
 from ._version import __version__
 from .histogram import Histogram, generate_simulated_histogram, load_histogram_csv
-from .learning import MODEL_KINDS, SELECTION_STRATEGIES, predict
+from .learning import MODEL_KINDS, SELECTION_STRATEGIES, _check_int, predict
 from .mechanisms import PrivacyBudget, laplace_batch, mwem_publish, strategy_mechanism
-from .pipeline import MldpConfig, _check_int, mldp_publish, training_workload_for
+from .pipeline import MldpConfig, mldp_publish, training_workload_for
 from .seeds import derive_seed
 from .workload import Workload, evaluate_workload, random_range_workload
 

@@ -65,7 +65,16 @@ class TrainingSet:
     seed: int | None = None
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=float)
+        features = self.features
+        # A read-only float64 array that owns its data, such as a workload
+        # matrix, cannot change under the training set, so it is shared.
+        if not (
+            type(features) is np.ndarray
+            and features.dtype == np.float64
+            and not features.flags.writeable
+            and features.flags.owndata
+        ):
+            features = np.array(features, dtype=float)
         targets = np.array(self.targets, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -99,6 +108,12 @@ class TrainingSet:
         )
 
 
+def _check_int(value, field: str, config: str) -> None:
+    """Refuse, not coerce, a non-int (bool, float, str, ...) integer field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{config} field of the wrong type: {field}={value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ModelMeta:
     """Release provenance stored inside a published model."""
@@ -120,11 +135,14 @@ class ModelMeta:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelMeta":
+        _check_int(data["training_m"], "training_m", "model meta")
+        if data.get("seed") is not None:
+            _check_int(data["seed"], "seed", "model meta")
         return cls(
             epsilon_consumed=float(data["epsilon_consumed"]),
-            training_m=int(data["training_m"]),
+            training_m=data["training_m"],
             sensitivity=float(data["sensitivity"]),
-            seed=None if data.get("seed") is None else int(data["seed"]),
+            seed=data.get("seed"),
             mu=None if data.get("mu") is None else float(data["mu"]),
         )
 
@@ -371,7 +389,7 @@ def load_model(path) -> PublishedModel:
         raise ValueError(f"{path}: not a valid model file: expected an object")
     try:
         kind = doc["kind"]
-        d = int(doc["d"])
+        d = doc["d"]
         weights = doc["weights"]
         centers = doc.get("centers")
         width_u = doc.get("width_u")
@@ -379,6 +397,7 @@ def load_model(path) -> PublishedModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from None
     try:
+        _check_int(d, "d", "model")
         model = PublishedModel(
             kind=kind,
             d=d,

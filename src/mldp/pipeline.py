@@ -20,6 +20,7 @@ from .learning import (
     SELECTION_STRATEGIES,
     PublishedModel,
     TrainingSet,
+    _check_int,
     fit_linear,
     fit_rbf,
     select_training_set,
@@ -109,12 +110,6 @@ class MldpConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"publish config field of the wrong type: {exc}") from None
-
-
-def _check_int(value, field: str, config: str) -> None:
-    """Refuse, not coerce, a non-int (bool, float, str, ...) integer config field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{config} field of the wrong type: {field}={value!r} is not an integer")
 
 
 def training_workload_for(hist_d: int, config: MldpConfig) -> Workload:

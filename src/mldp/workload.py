@@ -198,9 +198,14 @@ def range_workload(d: int, lo, hi) -> Workload:
     if outside.size:
         i = outside[0]
         raise ValueError(f"range [{lo[i]}, {hi[i]}] out of bounds for d={d}")
-    bins = np.arange(d)
-    matrix = ((bins >= lo[:, None]) & (bins <= hi[:, None])).astype(float)
+    matrix = _range_indicators(d, lo, hi).astype(float)
     return Workload._of(matrix, ("range",) * lo.size, lo.tolist(), hi.tolist())
+
+
+def _range_indicators(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Boolean (m x d) matrix whose row i is true on bins lo[i]..hi[i]."""
+    bins = np.arange(d)
+    return (bins >= lo[:, None]) & (bins <= hi[:, None])
 
 
 def range_query(lo: int, hi: int, d: int) -> LinearQuery:
@@ -341,7 +346,14 @@ def save_workload_csv(workload: Workload, path) -> None:
 
 
 def load_workload_csv(path) -> Workload:
-    """Read a workload written by :func:`save_workload_csv`."""
+    """Read a workload written by :func:`save_workload_csv`.
+
+    The coeffs column is parsed by one ``np.loadtxt`` call and every row
+    is checked with array operations, so a valid file builds no
+    :class:`LinearQuery`.  A bad file is reported at its first bad row;
+    the message for a row that parses but is not a valid query comes
+    from building that one row's :class:`LinearQuery`.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -352,28 +364,93 @@ def load_workload_csv(path) -> Workload:
         raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    queries = []
+    data = rows[1:]
+    try:
+        parsed, fault = _parse_rows(data), None
+    except ValueError:
+        # Some row does not parse; the rows before it do, and a bad
+        # query among them comes first.
+        k, fault = _first_parse_fault(data)
+        parsed = _parse_rows(data[:k]) if k else None
+    if parsed is not None:
+        kinds, lo, hi, matrix = parsed
+        bad = np.flatnonzero(~_valid_rows(matrix, kinds, lo, hi))
+        if bad.size:
+            i = bad[0]
+            try:
+                LinearQuery(matrix[i], kinds[i], lo[i], hi[i])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i + 1}: {exc}") from None
+            raise AssertionError(f"row {i + 1} fails the array checks but not LinearQuery")
+    if fault is not None:
+        raise ValueError(f"{path}: row {k + 1}: {fault}")
+    return Workload._of(matrix, kinds, lo, hi)
+
+
+def _parse_rows(rows):
+    """The kinds, bounds and coefficient matrix of CSV data rows, column by column.
+
+    Raises ValueError, without saying where, if any row does not parse.
+    """
+    if any(len(row) != 4 for row in rows):
+        raise ValueError("a row does not have 4 columns")
+    kinds, lo, hi, texts = ([c.strip() for c in column] for column in zip(*rows))
+    if not all(texts):  # np.loadtxt would skip the blank line
+        raise ValueError("a row has an empty coefficient list")
+    matrix = np.loadtxt(texts, dtype=float, comments=None, ndmin=2)
+    return kinds, [_bound(b) for b in lo], [_bound(b) for b in hi], matrix
+
+
+def _bound(text: str) -> int | None:
+    return int(text) if text else None
+
+
+def _first_parse_fault(rows) -> tuple[int, str]:
+    """Index of the first row that :func:`_parse_rows` cannot parse, and why."""
     d = None
-    for i, row in enumerate(rows[1:], start=1):
+    for k, row in enumerate(rows):
         if len(row) != 4:
-            raise ValueError(f"{path}: row {i}: expected 4 columns, got {len(row)}")
-        kind, lo_raw, hi_raw, coeff_raw = (c.strip() for c in row)
+            return k, f"expected 4 columns, got {len(row)}"
+        _, lo, hi, text = (c.strip() for c in row)
+        if not text:
+            return k, "empty coefficient list"
         try:
-            coeffs = [float(c) for c in coeff_raw.split()]
+            n = np.loadtxt([text], dtype=float, comments=None, ndmin=2).shape[1]
         except ValueError:
-            raise ValueError(f"{path}: row {i}: bad coefficient list") from None
-        if not coeffs:
-            raise ValueError(f"{path}: row {i}: empty coefficient list")
+            return k, "bad coefficient list"
         if d is None:
-            d = len(coeffs)
-        elif len(coeffs) != d:
-            raise ValueError(
-                f"{path}: row {i}: expected {d} coefficients, got {len(coeffs)}"
-            )
-        lo = int(lo_raw) if lo_raw else None
-        hi = int(hi_raw) if hi_raw else None
+            d = n
+        elif n != d:
+            return k, f"expected {d} coefficients, got {n}"
         try:
-            queries.append(LinearQuery(coeffs, kind=kind, lo=lo, hi=hi))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-    return Workload(d, queries)
+            _bound(lo), _bound(hi)
+        except ValueError:
+            return k, f"bad lo/hi {lo!r}, {hi!r}: expected integers"
+    raise AssertionError("every row parses on its own but not together")
+
+
+def _valid_rows(matrix, kinds, lo, hi) -> np.ndarray:
+    """Which rows pass the :class:`LinearQuery` checks, all rows at once."""
+    d = matrix.shape[1]
+    kinds = np.array(kinds)
+    lo_given = np.array([b is not None for b in lo], dtype=bool)
+    hi_given = np.array([b is not None for b in hi], dtype=bool)
+    # A missing bound reads as -1, and clipping to [-1, d] keeps every
+    # comparison below while fitting any int into int64.
+    lo = np.array([-1 if b is None else min(max(b, -1), d) for b in lo], dtype=np.int64)
+    hi = np.array([-1 if b is None else min(max(b, -1), d) for b in hi], dtype=np.int64)
+    range_ok = (
+        lo_given
+        & hi_given
+        & (0 <= lo)
+        & (lo <= hi)
+        & (hi < d)
+        & np.all(matrix == _range_indicators(d, lo, hi), axis=1)
+    )
+    binary = np.all((matrix == 0) | (matrix == 1), axis=1)
+    return (
+        np.all(np.isfinite(matrix), axis=1)
+        & np.isin(kinds, _KINDS)
+        & np.where(kinds == "range", range_ok, ~lo_given & ~hi_given)
+        & ((kinds != "subset") | binary)
+    )

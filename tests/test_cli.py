@@ -106,6 +106,22 @@ class TestPublishAnswer:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    def test_answer_rejects_a_non_integer_meta_field(
+        self, capsys, tmp_path, hist_csv, workload_csv
+    ):
+        model_path = tmp_path / "model.json"
+        main(["publish", hist_csv, "--config", publish_config(tmp_path), "--out", str(model_path)])
+        doc = json.loads(model_path.read_text())
+        doc["meta"]["training_m"] = 2.9
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["answer", str(model_path), workload_csv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "not a valid model file" in captured.err
+        assert "training_m=2.9 is not an integer" in captured.err
+        assert captured.out == ""
+
     def test_publish_rejects_non_object_config(self, capsys, tmp_path, hist_csv):
         config = tmp_path / "publish.json"
         config.write_text("5")

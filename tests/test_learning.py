@@ -74,6 +74,18 @@ class TestTrainingSet:
         np.testing.assert_array_equal(t.targets, out.answers)
         assert (t.sensitivity, t.epsilon, t.seed) == (6.0, 1.0, 7)
 
+    def test_shares_a_workload_matrix(self, hist4, ranges4):
+        out = laplace_batch(ranges4, hist4, PrivacyBudget(1.0), 1.0, seed=7)
+        t = TrainingSet.from_noisy_answers(out)
+        assert np.shares_memory(t.features, out.workload.matrix)
+
+    def test_copies_a_writable_matrix(self):
+        features = np.eye(3)
+        t = TrainingSet(features, np.ones(3), 1.0, 1.0)
+        features[0, 0] = 9.0
+        np.testing.assert_array_equal(t.features, np.eye(3))
+        assert not np.shares_memory(t.features, features)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="2-D"):
             TrainingSet(np.zeros(3), np.zeros(3), 1.0, 1.0)
@@ -404,6 +416,21 @@ class TestModelFiles:
             '"width_u": 1.0}',
             '{"width_u": Infinity, "kind": "rbf", "d": 2, "weights": [1.0], '
             '"centers": [[1.0, 0.0]]}',
+            '{"kind": "linear", "d": 2.0, "weights": [0.0, 1.0, 2.0]}',
+            '{"kind": "linear", "d": "2", "weights": [0.0, 1.0, 2.0]}',
+            '{"kind": "linear", "d": true, "weights": [0.0, 1.0]}',
+            *(
+                '{"kind": "linear", "d": 1, "weights": [0.0, 1.0], "meta": '
+                '{"epsilon_consumed": 1.0, "sensitivity": 1.0, %s}}' % fields
+                for fields in (
+                    '"training_m": 2.9, "seed": 7',
+                    '"training_m": "2", "seed": 7',
+                    '"training_m": true, "seed": 7',
+                    '"training_m": 2, "seed": "7"',
+                    '"training_m": 2, "seed": 7.0',
+                    '"training_m": 2, "seed": false',
+                )
+            ),
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, payload):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mldp import (
@@ -431,3 +432,145 @@ def test_csv_errors_match_golden(tmp_path, name):
     with pytest.raises(ValueError) as info:
         load_workload_csv(p)
     assert str(info.value) == f"{p}: {case['message']}"
+
+
+def _mixed_workload(d: int, m: int, seed: int) -> Workload:
+    """m random range, subset and general queries over d bins."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for kind in rng.choice(["range", "subset", "general"], size=m):
+        if kind == "range":
+            lo, hi = sorted(rng.integers(0, d, size=2).tolist())
+            queries.append(range_query(lo, hi, d))
+        elif kind == "subset":
+            queries.append(LinearQuery(rng.integers(0, 2, size=d), kind="subset"))
+        else:
+            coeffs = rng.normal(size=d) * 10.0 ** rng.integers(-300, 300, size=d)
+            coeffs[rng.random(d) < 0.2] = rng.choice([0.0, -0.0, 1.0, 5e-324, 2**-40])
+            queries.append(LinearQuery(coeffs))
+    return Workload(d, queries)
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 6), (5, 1), (16, 40), (64, 300)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csv_round_trip_keeps_every_field(tmp_path, d, m, seed):
+    w = _mixed_workload(d, m, seed)
+    p = tmp_path / "w.csv"
+    save_workload_csv(w, p)
+    again = load_workload_csv(p)
+    assert again == w
+    assert again.matrix.dtype == np.float64 and again.matrix.shape == (m, d)
+    np.testing.assert_array_equal(again.matrix.view(np.int64), w.matrix.view(np.int64))
+    assert (again._kinds, again._lo, again._hi) == (w._kinds, w._lo, w._hi)
+    for kind, lo, hi in zip(again._kinds, again._lo, again._hi):
+        if kind == "range":
+            assert type(lo) is int and type(hi) is int
+        else:
+            assert lo is None and hi is None
+
+
+def test_loading_a_valid_file_builds_no_linear_query(tmp_path, monkeypatch):
+    w = _mixed_workload(32, 1000, seed=4)
+    p = tmp_path / "w.csv"
+    save_workload_csv(w, p)
+    calls = []
+    original = LinearQuery.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearQuery, "__init__", counting_init)
+    assert load_workload_csv(p) == w
+    assert calls == []
+    # The count does see the row a bad file is reported from.
+    p.write_text("kind,lo,hi,coeffs\nsubset,,,0.5 1.0\n")
+    with pytest.raises(ValueError, match="row 1: subset"):
+        load_workload_csv(p)
+    assert len(calls) == 1
+
+
+def _row_by_row_load(path) -> Workload:
+    """The row-by-row reader the array reader replaced, with bad bounds reported at their row."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r][1:]
+    queries = []
+    d = None
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 4:
+            raise ValueError(f"{path}: row {i}: expected 4 columns, got {len(row)}")
+        kind, lo_raw, hi_raw, coeff_raw = (c.strip() for c in row)
+        try:
+            coeffs = [float(c) for c in coeff_raw.split()]
+        except ValueError:
+            raise ValueError(f"{path}: row {i}: bad coefficient list") from None
+        if not coeffs:
+            raise ValueError(f"{path}: row {i}: empty coefficient list")
+        if d is None:
+            d = len(coeffs)
+        elif len(coeffs) != d:
+            raise ValueError(f"{path}: row {i}: expected {d} coefficients, got {len(coeffs)}")
+        try:
+            lo = int(lo_raw) if lo_raw else None
+            hi = int(hi_raw) if hi_raw else None
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {i}: bad lo/hi {lo_raw!r}, {hi_raw!r}: expected integers"
+            ) from None
+        try:
+            queries.append(LinearQuery(coeffs, kind=kind, lo=lo, hi=hi))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    return Workload(d, queries)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Data rows over one d: mostly valid queries, some with a random fault."""
+    d = draw(st.integers(1, 3))
+    tokens = st.sampled_from(["0", "1", "1.0", "0.0", "0.5", "-2", "1e0", "nan", "-inf", "x"])
+    bounds = st.sampled_from(["", "0", "1", "2", "-1", "3", "99999999999999999999", "x", "1.5"])
+
+    def valid_row():
+        kind = draw(st.sampled_from(["range", "subset", "general"]))
+        if kind == "range":
+            lo = draw(st.integers(0, d - 1))
+            hi = draw(st.integers(lo, d - 1))
+            coeffs = ["1.0" if lo <= j <= hi else "0.0" for j in range(d)]
+            return [kind, str(lo), str(hi), " ".join(coeffs)]
+        if kind == "subset":
+            values = st.sampled_from(["0", "1"])
+        else:
+            values = st.sampled_from(["-2", "0.5", "1e0"])
+        return [kind, "", "", " ".join(draw(st.lists(values, min_size=d, max_size=d)))]
+
+    def random_row():
+        row = [
+            draw(st.sampled_from(["range", "subset", "general", "cubic"])),
+            draw(bounds),
+            draw(bounds),
+            " ".join(draw(st.lists(tokens, min_size=0, max_size=4))),
+        ]
+        return (row + ["extra"])[: draw(st.sampled_from([3, 4, 4, 4, 5]))]
+
+    n = draw(st.integers(1, 6))
+    return [valid_row() if draw(st.integers(0, 3)) else random_row() for _ in range(n)]
+
+
+@settings(max_examples=500)
+@given(_csv_rows())
+def test_array_reader_matches_the_row_by_row_reader(tmp_path_factory, rows):
+    p = tmp_path_factory.mktemp("csv") / "w.csv"
+    with open(p, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "lo", "hi", "coeffs"])
+        writer.writerows(rows)
+
+    def outcome(load):
+        try:
+            w = load(p)
+        except ValueError as exc:
+            return str(exc)
+        return w.matrix.tolist(), w._kinds, w._lo, w._hi
+
+    assert outcome(load_workload_csv) == outcome(_row_by_row_load)
