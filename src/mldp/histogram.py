@@ -12,6 +12,7 @@ carry fractional mass; CSV ingestion accepts non-negative integers only.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
 ]
 
 _HEADER = ("label", "count")
+
+_CSV_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class Histogram:
@@ -91,9 +94,9 @@ class Histogram:
 def load_histogram_csv(path) -> Histogram:
     """Read a two-column ``label,count`` CSV into a Histogram.
 
-    The first row must be the header ``label,count``.  Counts must parse
-    as non-negative integers; a bad row is rejected with its data-row
-    index (the first row after the header is row 1).
+    The first row must be the header ``label,count``.  Counts must be
+    non-negative integers written in ASCII digits; a bad row is rejected
+    with its data-row index (the first row after the header is row 1).
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -112,7 +115,7 @@ def load_histogram_csv(path) -> Histogram:
             raise ValueError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
         raw = row[1].strip()
         try:
-            count = int(raw)
+            count = _csv_int(raw)
         except ValueError:
             raise ValueError(
                 f"{path}: row {i}: count {raw!r} is not an integer"
@@ -124,6 +127,17 @@ def load_histogram_csv(path) -> Histogram:
     if not counts:
         raise ValueError(f"{path}: no data rows")
     return Histogram(counts, labels)
+
+
+def _csv_int(text: str) -> int:
+    """An integer CSV field: ASCII digits with an optional sign.
+
+    ``int`` alone would also take underscores and non-ASCII digits
+    ("1_000", "\u0661"); raises ValueError for anything else.
+    """
+    if not _CSV_INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def save_histogram_csv(hist: Histogram, path) -> None:

@@ -236,13 +236,18 @@ def mwem_publish(
     The whole epsilon must fit in the budget before the first draw,
     and is charged round by round.  After each round the synthetic bins
     are refit to the full measurement history with ``mw_iters`` passes
-    of the multiplicative weights update
+    of the multiplicative weights update, one step per measurement
 
         bins_j <- bins_j * exp(coeffs[j] * (measured - estimate) / (2 * total))
 
-    renormalized to the true total after every pass, which keeps the
-    bins positive and the total constant.  Returns the final synthetic
-    histogram and its answers to the workload.
+    with the bins held to the true total, which keeps them positive.
+    The refit holds the bins as ``s * u`` with ``s = total / sum(u)``,
+    so a step rescales only its query's support (exp(0) = 1 elsewhere)
+    and updates a running sum of ``u``; ``u`` is rescaled to the true
+    total at the start of every pass, and the bins are formed once per
+    round (see :func:`_mw_replay`).  The refit only post-processes
+    released measurements.  Returns the final synthetic histogram and
+    its answers to the workload.
 
     ``on_round`` (if given) is called with (round_index, bins_copy)
     after each round, for instrumentation.
@@ -275,8 +280,9 @@ def mwem_publish(
     measurement_scale = _noise_scale(sensitivity, eps_round)
     rng = np.random.default_rng(seed)
     truth = evaluate_workload(workload, hist)
-    bins = np.full(hist.d, total / hist.d)
-    history: list[tuple[int, float]] = []
+    weights = np.full(hist.d, total / hist.d)
+    bins = weights.copy()
+    history: list[tuple] = []
 
     for t in range(rounds):
         scores = np.abs(matrix @ bins - truth)
@@ -284,17 +290,76 @@ def mwem_publish(
         picked = _exponential_mechanism(scores, select_epsilon, rng)
         budget.charge(f"mwem measure round {t + 1}", eps_round)
         measured = truth[picked] + _laplace_noise(measurement_scale, 1, rng)[0]
-        history.append((picked, measured))
-        for _ in range(mw_iters):
-            for qi, value in history:
-                estimate = matrix[qi] @ bins
-                bins = bins * np.exp(matrix[qi] * ((value - estimate) / (2.0 * total)))
-                bins *= total / bins.sum()
+        history.append((*_mw_support(workload, picked), measured))
+        bins = _mw_replay(weights, total, history, mw_iters)
         if on_round is not None:
             on_round(t, bins.copy())
 
     synthetic = Histogram(bins)
     return synthetic, evaluate_workload(workload, synthetic)
+
+
+def _mw_support(workload: Workload, i: int) -> tuple:
+    """The bins a multiplicative-weights step on query ``i`` changes.
+
+    A range gives ``(slice(lo, hi + 1), None)``: every coefficient on
+    it is 1.  Any other query gives its nonzero bins and their
+    coefficients.
+    """
+    if workload._kinds[i] == "range":
+        return slice(workload._lo[i], workload._hi[i] + 1), None
+    row = workload.matrix[i]
+    support = np.flatnonzero(row)
+    return support, row[support]
+
+
+def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.ndarray:
+    """Refit ``weights`` in place to ``history``; returns the bins they give.
+
+    ``history`` holds ``(support, coeffs, measured)`` entries from
+    :func:`_mw_support`.  Each of the ``mw_iters`` passes replays every
+    entry once, in order, with the update of :func:`mwem_publish`.
+
+    The bins are ``s * weights`` with ``s = total / mass`` and ``mass``
+    the running sum of the weights, so a step touches only its query's
+    support.  A range multiplies its slice by one scalar ``f`` and adds
+    ``(f - 1) * part`` to the mass, where ``part`` is the slice's sum;
+    any other query multiplies its support by ``exp(coeffs * delta)``
+    and adds the change of the support's sum.  Each pass starts by
+    scaling the weights back to the true total, so the running sum's
+    rounding error cannot build up across passes and the weights cannot
+    drift out of the float range.  A step that would move the mass by
+    more than a factor of two rescales the same way, since its running
+    sum would cancel badly.
+    """
+    # Views of ranges stay valid because every update writes in place.
+    steps = [
+        (weights[support] if coeffs is None else support, coeffs, value)
+        for support, coeffs, value in history
+    ]
+    two_total = 2.0 * total
+    add = np.add.reduce  # ndarray.sum without its Python-level wrapper
+    for _ in range(mw_iters):
+        weights *= total / add(weights)
+        mass = total
+        for target, coeffs, value in steps:
+            scale = total / mass
+            if coeffs is None:
+                part = add(target)
+                factor = math.exp((value - scale * part) / two_total)
+                target *= factor
+                change = (factor - 1.0) * part
+            else:
+                old = weights[target]
+                new = old * np.exp(coeffs * ((value - scale * (coeffs @ old)) / two_total))
+                weights[target] = new
+                change = new.sum() - old.sum()
+            if -0.5 * mass < change < mass:
+                mass += change
+            else:
+                weights *= total / weights.sum()
+                mass = total
+    return weights * (total / weights.sum())
 
 
 def _strategy_workload(strategy: str, d: int) -> Workload:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .histogram import Histogram, neighbor
+from .histogram import Histogram, _csv_int, neighbor
 
 __all__ = [
     "LinearQuery",
@@ -402,7 +402,7 @@ def _parse_rows(rows):
 
 
 def _bound(text: str) -> int | None:
-    return int(text) if text else None
+    return _csv_int(text) if text else None
 
 
 def _first_parse_fault(rows) -> tuple[int, str]:

@@ -102,6 +102,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 1"):
             load_histogram_csv(p)
 
+    @pytest.mark.parametrize("count", ["1_000", "\u0661", "\uff11", "1\u0660", "0x10", "1e3", ""])
+    def test_load_accepts_only_ascii_integers(self, tmp_path, count):
+        p = tmp_path / "h.csv"
+        p.write_text(f"label,count\na,3\nb,{count}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_histogram_csv(p)
+        assert str(info.value) == f"{p}: row 2: count {count!r} is not an integer"
+
+    def test_load_accepts_signs_and_padding(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("label,count\na,+3\nb, 07 \nc,-0\n")
+        assert load_histogram_csv(p).bins.tolist() == [3.0, 7.0, 0.0]
+
     def test_load_rejects_bad_header(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("name,value\na,3\n")

@@ -403,6 +403,43 @@ class TestModelFiles:
         assert load_model(p).meta is None
 
     @pytest.mark.parametrize(
+        "model, expected",
+        [
+            (
+                PublishedModel(
+                    kind="linear",
+                    d=3,
+                    weights=np.array([0.0, 1 / 3, -2.5e-300, 1e22]),
+                    meta=ModelMeta(math.inf, 3, 1.0, seed=7, mu=0.1 + 0.2),
+                ),
+                b'{"kind": "linear", "d": 3, "weights": [0.0, 0.3333333333333333, -2.5e-300, '
+                b'1e+22], "centers": null, "width_u": null, "meta": {"epsilon_consumed": '
+                b'Infinity, "training_m": 3, "sensitivity": 1.0, "seed": 7, "mu": '
+                b'0.30000000000000004}}\n',
+            ),
+            (
+                PublishedModel(
+                    kind="rbf",
+                    d=3,
+                    weights=np.array([-0.0, 123456.789]),
+                    centers=np.array([[1.0, 0.0, 1.0], [0.5, 2 / 3, 5e-324]]),
+                    width_u=np.float64(1.75),
+                    meta=ModelMeta(0.5, 2, 2.0),
+                ),
+                b'{"kind": "rbf", "d": 3, "weights": [-0.0, 123456.789], "centers": [[1.0, '
+                b'0.0, 1.0], [0.5, 0.6666666666666666, 5e-324]], "width_u": 1.75, "meta": '
+                b'{"epsilon_consumed": 0.5, "training_m": 2, "sensitivity": 2.0, "seed": '
+                b'null, "mu": null}}\n',
+            ),
+        ],
+        ids=["linear", "rbf"],
+    )
+    def test_file_bytes_are_pinned(self, tmp_path, model, expected):
+        p = tmp_path / "model.json"
+        save_model(model, p)
+        assert p.read_bytes() == expected
+
+    @pytest.mark.parametrize(
         "payload",
         [
             "not json at all {",

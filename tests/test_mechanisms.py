@@ -314,6 +314,84 @@ class TestMwem:
             mwem_publish(ranges4, hist4, 0.0, rounds=2, seed=0)
 
 
+def _dense_mw_replay(bins, total, rows, mw_iters):
+    """Reference for ``_mw_replay``: each step multiplies all d bins and renormalizes them."""
+    for _ in range(mw_iters):
+        for row, value in rows:
+            estimate = row @ bins
+            bins = bins * np.exp(row * ((value - estimate) / (2.0 * total)))
+            bins *= total / bins.sum()
+    return bins
+
+
+def _random_rows(kind: str, d: int, m: int, rng) -> Workload:
+    """m random queries over d bins: ranges, subsets, general rows, or all three in turn."""
+    queries = []
+    for i in range(m):
+        row_kind = ("range", "subset", "general")[i % 3] if kind == "mixed" else kind
+        if row_kind == "range":
+            lo = int(rng.integers(0, d))
+            queries.append(range_query(lo, int(rng.integers(lo, d)), d))
+        elif row_kind == "subset":
+            mask = (rng.random(d) < 0.3).astype(float)
+            mask[rng.integers(0, d)] = 1.0
+            queries.append(LinearQuery(mask, "subset"))
+        else:
+            coeffs = rng.uniform(-1.0, 2.0, d) * (rng.random(d) < 0.5)
+            queries.append(LinearQuery(coeffs))
+    return Workload(d, queries)
+
+
+def _replay_both(kind, rounds, mw_iters, noise_scale, seed=0):
+    """Run MWEM's refit schedule (history grows by one entry per round) both ways.
+
+    Yields the replay's bins and the dense reference's bins after each
+    round, plus the true total.
+    """
+    rng = np.random.default_rng(seed)
+    d = 24
+    hist = generate_simulated_histogram(d, 100, seed=seed)
+    total = hist.total
+    workload = _random_rows(kind, d, rounds, rng)
+    values = evaluate_workload(workload, hist) + rng.laplace(0.0, noise_scale, rounds)
+    weights = np.full(d, total / d)
+    dense = weights.copy()
+    history, rows = [], []
+    for t in range(rounds):
+        history.append((*mechanisms._mw_support(workload, t), values[t]))
+        rows.append((workload.matrix[t], values[t]))
+        bins = mechanisms._mw_replay(weights, total, history, mw_iters)
+        dense = _dense_mw_replay(dense, total, rows, mw_iters)
+        yield bins, dense, total
+
+
+# Below the smallest normal float a bin carries fewer than 53 bits, so
+# relative agreement there is not defined.
+_SUBNORMAL = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("mw_iters", [1, 20])
+@pytest.mark.parametrize("rounds", [1, 10, 100])
+@pytest.mark.parametrize("kind", ["range", "subset", "general", "mixed"])
+def test_mw_replay_matches_dense_reference(kind, rounds, mw_iters):
+    # The noise MWEM adds at epsilon=1: scale 2 * rounds.
+    for bins, dense, total in _replay_both(kind, rounds, mw_iters, 2.0 * rounds):
+        np.testing.assert_allclose(bins, dense, rtol=1e-12, atol=_SUBNORMAL)
+        assert bins.min() > 0
+        assert abs(bins.sum() - total) <= 1e-9
+
+
+def test_mw_replay_survives_measurements_far_off_the_total():
+    # Noise about a hundred times the total (24 bins of 0..100 records)
+    # moves most steps' mass by more than a factor of two, and unless
+    # the weights are rescaled they leave the float range within a few
+    # rounds.  Most bins underflow to zero in both versions.
+    for bins, dense, total in _replay_both("mixed", 30, 20, 120_000.0):
+        np.testing.assert_allclose(bins, dense, rtol=1e-12, atol=_SUBNORMAL)
+        assert bins.min() >= 0
+        assert abs(bins.sum() - total) <= 1e-9
+
+
 class TestStrategyMechanism:
     def test_identity_records_unit_sensitivity(self, hist4, ranges4):
         out = strategy_mechanism(ranges4, "identity", hist4, 1.0, seed=0)
