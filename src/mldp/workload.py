@@ -236,7 +236,10 @@ def workload_sensitivity(workload: Workload) -> float:
     """
     if workload.m == 0:
         return 0.0
-    return float(np.abs(workload.matrix).sum(axis=0).max())
+    matrix = workload.matrix
+    if "general" in workload._kinds:  # range and subset coefficients are 0/1
+        matrix = np.abs(matrix)
+    return float(matrix.sum(axis=0).max())
 
 
 def brute_force_sensitivity(workload: Workload, hist: Histogram) -> float:

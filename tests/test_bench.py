@@ -22,9 +22,10 @@ from mldp import (
     run_sweep,
     save_histogram_csv,
 )
-from mldp.bench import MECHANISMS
-from mldp.learning import SELECTION_STRATEGIES
+from mldp.bench import MECHANISMS, _overlap_count
+from mldp.learning import SELECTION_STRATEGIES, select_training_set
 from mldp.workload import _POOL_KINDS as POOL_KINDS
+from mldp.workload import random_range_workload
 
 SIM = DatasetSpec(d=16, max_count=100, seed=11)
 
@@ -335,3 +336,21 @@ def test_reports_match_golden(name):
         assert row["train_test_overlap"] == want["train_test_overlap"], key
         for got, expected in zip(row["trial_maes"], want["trial_maes"], strict=True):
             assert math.isclose(got, expected, rel_tol=1e-12), key
+
+
+def _overlap_by_row_bytes(training, test) -> int:
+    """Reference for ``_overlap_count``: a test query overlaps when its row's bytes match."""
+    keys = {row.tobytes() for row in training.matrix}
+    return sum(row.tobytes() in keys for row in test.matrix)
+
+
+@pytest.mark.parametrize("pool", POOL_KINDS)
+@pytest.mark.parametrize("selection", SELECTION_STRATEGIES)
+def test_overlap_count_matches_row_bytes(selection, pool):
+    # Small domains and many test queries, so most counts are far from 0.
+    for d in (1, 2, 3, 5, 8, 13, 20):
+        for seed in range(4):
+            training = select_training_set(d, selection, 3 * d + 1, seed, pool)
+            test = random_range_workload(d, 40, seed + 100)
+            want = _overlap_by_row_bytes(training, test)
+            assert _overlap_count(training, test) == want, (d, seed)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mldp import (
     Histogram,
@@ -29,6 +30,7 @@ from mldp import (
     workload_sensitivity,
 )
 from mldp import mechanisms
+from mldp.learning import TrainingSet, fit_linear
 from mldp.mechanisms import _exponential_mechanism
 
 
@@ -294,6 +296,33 @@ class TestMwem:
         assert noise_scales == [10.0 / eps_round] * 2
         assert select_epsilons == [eps_round / 10.0] * 2
 
+    def test_measurement_noise_is_laplace_at_the_declared_scale(self):
+        """MWEM's measurement noise, recovered from its output alone.
+
+        With one round, one refit pass and the range over bin 0 of a
+        2-bin histogram with total N, the replay sets bin 0 to
+        N f / (1 + f) with f = exp((measured - N/2) / (2N)).  So the
+        returned answer a gives the measurement exactly:
+        measured = N/2 + 2N ln(a / (N - a)).  At epsilon = 1 the round
+        spends 1/2 on the measurement, so the noise is Laplace(0, 2).
+
+        A KS test checks the shape.  The scale is checked through its
+        maximum-likelihood estimate, the mean absolute noise, whose
+        standard error is scale / sqrt(n): the 4-sigma band passes the
+        true scale and excludes scales 10% too high or too low (about
+        9 standard errors away at n = 8000).
+        """
+        n, total, truth, scale = 8000, 1000.0, 600.0, 2.0
+        hist = Histogram([truth, total - truth])
+        w = Workload(2, [range_query(0, 0, 2)])
+        noise = np.empty(n)
+        for seed in range(n):
+            _, answers = mwem_publish(w, hist, 1.0, rounds=1, seed=seed, mw_iters=1)
+            a = answers[0]
+            noise[seed] = total / 2 + 2 * total * math.log(a / (total - a)) - truth
+        assert stats.kstest(noise, stats.laplace(0.0, scale).cdf).pvalue > 0.01
+        assert abs(np.abs(noise).mean() / scale - 1.0) < 4.0 / math.sqrt(n)
+
     def test_all_zero_workload_needs_no_noise(self, hist4):
         w = Workload(4, [LinearQuery([0.0, 0.0, 0.0, 0.0])])
         _, answers = mwem_publish(w, hist4, 1.0, rounds=2, seed=0)
@@ -466,6 +495,31 @@ def test_strategy_workload_matches_dense_reference(strategy):
         assert workload_sensitivity(w) == sensitivity, d
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 1.0, math.inf])
+@pytest.mark.parametrize("strategy", ["identity", "hierarchical"])
+def test_strategy_estimate_matches_dense_ridge_solve(strategy, epsilon):
+    """The closed-form reconstruction against the dense solve it replaced.
+
+    The reference is ``fit_linear`` with the reconstruction ridge on the
+    strategy workload's noisy answers.  Identity must agree bitwise.
+    The Haar path adds in another order than the LU solve, so there the
+    bin estimates must agree to 1e-12 of their largest magnitude.
+    """
+    for d in [*range(1, 71), 100, 127, 128, 129, 256, 512]:
+        strategy_workload = mechanisms._strategy_workload(strategy, d)
+        hist = generate_simulated_histogram(d, 1000, seed=d)
+        padded = Histogram(np.pad(hist.bins, (0, strategy_workload.d - d)))
+        measured = mechanisms._release(strategy_workload, padded, epsilon, seed=d)
+        dense = fit_linear(
+            TrainingSet.from_noisy_answers(measured), ridge=mechanisms._RECONSTRUCTION_RIDGE
+        ).weights[1:]
+        estimate = mechanisms._strategy_estimate(strategy, measured.answers)
+        if strategy == "identity":
+            np.testing.assert_array_equal(estimate, dense, err_msg=f"d={d}")
+        else:
+            assert np.abs(estimate - dense).max() <= 1e-12 * np.abs(dense).max(), d
+
+
 GOLDEN_STRATEGY = json.loads(
     (Path(__file__).parent / "data" / "golden_strategy.json").read_text()
 )
@@ -479,9 +533,9 @@ def test_strategy_answers_match_golden(name):
     OPENBLAS_NUM_THREADS=1 from strategy_mechanism(random_range_workload(
     d, 40, seed=d), strategy, generate_simulated_histogram(d, 1000,
     seed=7), 0.5, seed=11).  The sensitivity must match exactly; the
-    answers to a relative 1e-12, because BLAS threading moves the last
-    bits of the hierarchical solve (by 1.1e-15 at d=100 between one and
-    two threads).
+    answers to a relative 1e-12.  The fixture predates the closed-form
+    hierarchical reconstruction, whose answers differ from it by up to
+    2e-15 relative (d=100).
     """
     strategy, d = name.split("/")
     d = int(d[2:])

@@ -193,6 +193,10 @@ class TestSensitivity:
         w = Workload(2, [LinearQuery([2.0, -1.0]), LinearQuery([0.5, 3.0])])
         assert workload_sensitivity(w) == 4.0
 
+    def test_general_rows_among_ranges_still_count_by_magnitude(self):
+        w = Workload(2, [range_query(0, 1, 2), LinearQuery([-2.0, 0.0])])
+        assert workload_sensitivity(w) == 3.0
+
     def test_brute_force_matches_on_worked_example(self, hist4, ranges4):
         assert brute_force_sensitivity(ranges4, hist4) == 6.0
 
