@@ -101,9 +101,8 @@ def _cmd_answer(args) -> int:
     model = load_model(args.model)
     workload = load_workload_csv(args.workload)
     answers = predict(model, workload)
-    print("query_id,answer")
-    for i, value in enumerate(answers):
-        print(f"{i},{float(value)!r}")
+    lines = "".join(f"{i},{value!r}\n" for i, value in enumerate(answers.tolist()))
+    print("query_id,answer\n" + lines, end="")
     return 0
 
 

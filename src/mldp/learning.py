@@ -22,7 +22,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .workload import _POOL_KINDS, Workload, pool_queries, pool_size, range_workload
+from .workload import (
+    _POOL_KINDS,
+    Workload,
+    _integer,
+    pool_queries,
+    pool_size,
+    range_workload,
+)
 
 if TYPE_CHECKING:
     from .mechanisms import NoisyAnswerSet
@@ -227,7 +234,7 @@ def select_training_set(
         raise ValueError(f"unknown pool {pool!r}; expected one of {_POOL_KINDS}")
     if strategy != "random_m":
         return range_workload(d, np.arange(d), np.arange(d))
-    if m is None or int(m) < 1:
+    if m is None or _integer(m, "m") < 1:
         raise ValueError("random_m needs m >= 1")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, pool_size(d, pool), size=int(m))

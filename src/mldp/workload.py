@@ -48,8 +48,9 @@ class LinearQuery:
     """One linear query: answer(h) = coeffs . bins.
 
     ``kind`` is a format tag ("range", "subset" or "general"); range
-    queries additionally carry their inclusive bin bounds ``lo..hi`` and
-    must have 0/1 indicator coefficients matching those bounds.
+    queries additionally carry their inclusive integer bin bounds
+    ``lo..hi`` and must have 0/1 indicator coefficients matching those
+    bounds; they store exactly that indicator.
     """
 
     __slots__ = ("_coeffs", "kind", "lo", "hi")
@@ -65,13 +66,14 @@ class LinearQuery:
         if kind == "range":
             if lo is None or hi is None:
                 raise ValueError("range queries need lo and hi")
-            lo, hi = int(lo), int(hi)
+            lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
             if not (0 <= lo <= hi < arr.size):
                 raise ValueError(f"invalid range [{lo}, {hi}] for d={arr.size}")
             indicator = np.zeros(arr.size)
             indicator[lo : hi + 1] = 1.0
             if not np.array_equal(arr, indicator):
                 raise ValueError("range query coefficients must be the 0/1 indicator of [lo, hi]")
+            arr = indicator  # so a -0.0 coefficient is stored as 0.0
         else:
             if lo is not None or hi is not None:
                 raise ValueError("lo/hi only apply to range queries")
@@ -186,8 +188,7 @@ def range_workload(d: int, lo, hi) -> Workload:
     d = int(d)
     if d < 1:
         raise ValueError("d must be at least 1")
-    lo = np.asarray(lo, dtype=np.int64).reshape(-1)
-    hi = np.asarray(hi, dtype=np.int64).reshape(-1)
+    lo, hi = _integers(lo, "lo"), _integers(hi, "hi")
     if lo.shape != hi.shape:
         raise ValueError(f"{lo.size} lower bounds for {hi.size} upper bounds")
     inverted = np.flatnonzero(lo > hi)
@@ -208,9 +209,28 @@ def _range_indicators(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (bins >= lo[:, None]) & (bins <= hi[:, None])
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """values as a flat int64 array; ValueError unless they are all integers.
+
+    Python and numpy integers pass; floats (even integral ones), bools
+    and strings do not, so a bound or position is never truncated.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return arr.astype(np.int64, copy=False).reshape(-1)
+
+
+def _integer(value, name: str) -> int:
+    """A single Python or numpy integer as int; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def range_query(lo: int, hi: int, d: int) -> LinearQuery:
     """The contiguous range-count query over bins lo..hi (inclusive)."""
-    return range_workload(d, [int(lo)], [int(hi)])[0]
+    return range_workload(d, [lo], [hi])[0]
 
 
 def evaluate(query: LinearQuery, hist: Histogram) -> float:
@@ -293,7 +313,7 @@ def pool_queries(d: int, positions, pool: str) -> Workload:
     is the subset with binary mask k + 1 (mask bit i selects bin i), so
     for d=2 the order is [1,0], [0,1], [1,1].
     """
-    k = np.asarray(positions, dtype=np.int64).reshape(-1)
+    k = _integers(positions, "pool positions")
     size = pool_size(d, pool)
     if k.size and (k.min() < 0 or k.max() >= size):
         raise ValueError(f"pool positions must lie in [0, {size})")
@@ -336,24 +356,42 @@ def save_workload_csv(workload: Workload, path) -> None:
     """Write a workload as CSV with columns kind, lo, hi, coeffs.
 
     The coeffs column always holds the full space-separated coefficient
-    vector, so the file is self-contained; lo/hi are filled for range
-    queries only.
+    vector, each coefficient spelled by ``repr``, so the file is
+    self-contained; lo/hi are filled for range queries only.  A range
+    row's coefficients are its 0/1 indicator, so its coeffs field is
+    :func:`_range_text` of its bounds rather than d formatted floats,
+    and :func:`load_workload_csv` reads it back without parsing them.
     """
+    d = workload.d
+    matrix = workload.matrix
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "lo", "hi", "coeffs"])
-        # Straight from the stored rows; csv writes a missing bound as "".
-        rows = zip(workload._kinds, workload._lo, workload._hi, workload.matrix.tolist())
-        for kind, lo, hi, coeffs in rows:
-            writer.writerow([kind, lo, hi, " ".join(map(repr, coeffs))])
+        # No field can hold a comma, quote or line break (the kinds are
+        # fixed words, the bounds integers, the coefficients float
+        # reprs), so these are the lines csv.writer would write.
+        fh.write("kind,lo,hi,coeffs\r\n")
+        for i, (kind, lo, hi) in enumerate(zip(workload._kinds, workload._lo, workload._hi)):
+            if kind == "range":
+                fh.write(f"range,{lo},{hi},{_range_text(d, lo, hi)}\r\n")
+            else:
+                fh.write(f"{kind},,,{' '.join(map(repr, matrix[i].tolist()))}\r\n")
+
+
+def _range_text(d: int, lo: int, hi: int) -> str:
+    """The coeffs field :func:`save_workload_csv` writes for the range [lo, hi] over d bins."""
+    return ("0.0 " * lo + "1.0 " * (hi - lo + 1) + "0.0 " * (d - hi - 1))[:-1]
 
 
 def load_workload_csv(path) -> Workload:
-    """Read a workload written by :func:`save_workload_csv`.
+    """Read a workload CSV with columns kind, lo, hi, coeffs.
 
-    The coeffs column is parsed by one ``np.loadtxt`` call and every row
-    is checked with array operations, so a valid file builds no
-    :class:`LinearQuery`.  A bad file is reported at its first bad row;
+    Any spelling of the coefficients that ``float`` reads is accepted.
+    A range row whose coeffs field is exactly what
+    :func:`save_workload_csv` writes for its bounds is a template row:
+    its matrix row is built from the bounds, and its coefficients are
+    never parsed.  The coeffs of every other row are parsed by one
+    ``np.loadtxt`` call and checked with array operations, so a valid
+    file builds no :class:`LinearQuery`.  Every range row is stored as
+    its 0/1 indicator.  A bad file is reported at its first bad row;
     the message for a row that parses but is not a valid query comes
     from building that one row's :class:`LinearQuery`.
     """
@@ -376,36 +414,73 @@ def load_workload_csv(path) -> Workload:
         k, fault = _first_parse_fault(data)
         parsed = _parse_rows(data[:k]) if k else None
     if parsed is not None:
-        kinds, lo, hi, matrix = parsed
-        bad = np.flatnonzero(~_valid_rows(matrix, kinds, lo, hi))
+        kinds, lo, hi, parsed_rows, coeffs = parsed
+        columns = ([column[i] for i in parsed_rows] for column in (kinds, lo, hi))
+        bad = np.flatnonzero(~_valid_rows(coeffs, *columns))
         if bad.size:
-            i = bad[0]
+            j, i = bad[0], parsed_rows[bad[0]]
             try:
-                LinearQuery(matrix[i], kinds[i], lo[i], hi[i])
+                LinearQuery(coeffs[j], kinds[i], lo[i], hi[i])
             except ValueError as exc:
                 raise ValueError(f"{path}: row {i + 1}: {exc}") from None
             raise AssertionError(f"row {i + 1} fails the array checks but not LinearQuery")
     if fault is not None:
         raise ValueError(f"{path}: row {k + 1}: {fault}")
+    # A range row is its indicator, so a -0.0 coefficient reads as 0.0;
+    # every other row gets the empty range [0, -1], then its coefficients.
+    ranges = [kind == "range" for kind in kinds]
+    matrix = _range_indicators(
+        coeffs.shape[1],
+        np.array([a if r else 0 for a, r in zip(lo, ranges)], dtype=np.int64),
+        np.array([b if r else -1 for b, r in zip(hi, ranges)], dtype=np.int64),
+    ).astype(float)
+    kept = [j for j, i in enumerate(parsed_rows) if not ranges[i]]
+    matrix[[parsed_rows[j] for j in kept]] = coeffs[kept]
     return Workload._of(matrix, kinds, lo, hi)
 
 
 def _parse_rows(rows):
-    """The kinds, bounds and coefficient matrix of CSV data rows, column by column.
+    """The kinds, bounds and coefficients of CSV data rows, column by column.
 
-    Raises ValueError, without saying where, if any row does not parse.
+    Returns (kinds, lo, hi, parsed_rows, coeffs): parsed_rows indexes
+    the rows that are not template rows, and coeffs holds their parsed
+    coefficients.  Raises ValueError, without saying where, if any row
+    does not parse.
     """
     if any(len(row) != 4 for row in rows):
         raise ValueError("a row does not have 4 columns")
     kinds, lo, hi, texts = ([c.strip() for c in column] for column in zip(*rows))
     if not all(texts):  # np.loadtxt would skip the blank line
         raise ValueError("a row has an empty coefficient list")
-    matrix = np.loadtxt(texts, dtype=float, comments=None, ndmin=2)
-    return kinds, [_bound(b) for b in lo], [_bound(b) for b in hi], matrix
+    lo, hi = [_bound(b) for b in lo], [_bound(b) for b in hi]
+    parsed_rows, widths = [], set()
+    for i, row in enumerate(zip(kinds, lo, hi, texts)):
+        width = _template_width(*row)
+        if width:
+            widths.add(width)
+        else:
+            parsed_rows.append(i)
+    if parsed_rows:
+        coeffs = np.loadtxt([texts[i] for i in parsed_rows], dtype=float, comments=None, ndmin=2)
+        widths.add(coeffs.shape[1])
+    if len(widths) != 1:
+        raise ValueError("rows do not all have the same number of coefficients")
+    if not parsed_rows:
+        coeffs = np.empty((0, *widths))
+    return kinds, lo, hi, parsed_rows, coeffs
 
 
 def _bound(text: str) -> int | None:
     return _csv_int(text) if text else None
+
+
+def _template_width(kind: str, lo: int | None, hi: int | None, text: str) -> int | None:
+    """d if the row is a range whose text is exactly :func:`_range_text` of [lo, hi] over d bins."""
+    d = (len(text) + 1) // 4  # d three-character numbers and d - 1 spaces
+    if kind == "range" and lo is not None and hi is not None and 0 <= lo <= hi < d:
+        if text == _range_text(d, lo, hi):
+            return d
+    return None
 
 
 def _first_parse_fault(rows) -> tuple[int, str]:

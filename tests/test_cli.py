@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from mldp import read_report_csv, save_histogram_csv, save_workload_csv
+from mldp import all_range_queries, read_report_csv, save_histogram_csv, save_workload_csv
 from mldp.cli import main
 
 
@@ -63,6 +63,29 @@ class TestPublishAnswer:
         answers = np.array([float(l.split(",")[1]) for l in lines[1:]])
         # epsilon=1e6 makes the noise negligible next to this tolerance.
         np.testing.assert_allclose(answers, ranges4_answers, atol=0.1)
+
+    @pytest.mark.parametrize("learner", ["linear", "rbf"])
+    def test_answer_prints_library_predict_byte_for_byte(
+        self, capsys, tmp_path, hist_csv, learner
+    ):
+        from mldp import LinearQuery, Workload, load_model, load_workload_csv, predict
+
+        queries = list(all_range_queries(4)) + [
+            LinearQuery([1.0, 0.0, 1.0, 1.0], kind="subset"),
+            LinearQuery([0.1, -2.5, 1 / 3, 7.0]),
+        ]
+        workload_path = tmp_path / "mixed.csv"
+        save_workload_csv(Workload(4, queries), workload_path)
+        model_path = tmp_path / "model.json"
+        config = publish_config(tmp_path, epsilon=1.0, learner=learner)
+        assert main(["publish", hist_csv, "--config", config, "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["answer", str(model_path), str(workload_path)]) == 0
+        answers = predict(load_model(model_path), load_workload_csv(workload_path))
+        expected = "query_id,answer\n" + "".join(
+            f"{i},{float(v)!r}\n" for i, v in enumerate(answers)
+        )
+        assert capsys.readouterr().out == expected
 
     def test_publish_rejects_infinite_epsilon(self, capsys, tmp_path, hist_csv):
         config = publish_config(tmp_path, epsilon=float("inf"))

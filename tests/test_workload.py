@@ -24,6 +24,7 @@ from mldp import (
     random_range_workload,
     range_query,
     save_workload_csv,
+    select_training_set,
     workload_sensitivity,
 )
 from mldp.workload import pool_queries, range_workload
@@ -422,6 +423,46 @@ class TestWorkloadCsv:
         with pytest.raises(ValueError, match="row 1"):
             load_workload_csv(p)
 
+    def test_range_rows_are_stored_as_their_indicator(self, tmp_path):
+        q = LinearQuery([-0.0, 1.0], kind="range", lo=1, hi=1)
+        assert not np.signbit(q.coeffs).any()
+        p = tmp_path / "w.csv"
+        p.write_text("kind,lo,hi,coeffs\nrange,1,1,-0.0 1\ngeneral,,,-0.0 1\n")
+        matrix = load_workload_csv(p).matrix
+        assert np.signbit(matrix).tolist() == [[False, False], [True, False]]
+
+
+_NON_INTEGRAL_CALLS = {
+    "range_workload": (
+        lambda: range_workload(8, [0.5], [2.9]),
+        lambda: range_workload(np.int64(8), np.array([0], dtype=np.int32), [np.int64(2)]),
+    ),
+    "LinearQuery": (
+        lambda: LinearQuery([0, 1, 1, 0], "range", lo=1.5, hi=2.2),
+        lambda: LinearQuery([0, 1, 1, 0], "range", lo=np.int32(1), hi=2),
+    ),
+    "range_query": (
+        lambda: range_query(1.7, 3.2, 8),
+        lambda: range_query(np.uint8(1), np.int64(3), 8),
+    ),
+    "pool_queries": (
+        lambda: pool_queries(4, [1.9], "ranges"),
+        lambda: pool_queries(4, np.array([1], dtype=np.uint16), "ranges"),
+    ),
+    "select_training_set": (
+        lambda: select_training_set(8, "random_m", m=2.7, seed=0),
+        lambda: select_training_set(8, "random_m", m=np.int64(2), seed=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_CALLS))
+def test_non_integral_bounds_are_rejected(name):
+    bad, good = _NON_INTEGRAL_CALLS[name]
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        bad()
+    assert good() is not None  # Python and numpy integers still pass
+
 
 GOLDEN_CSV_ERRORS = json.loads(
     (Path(__file__).parent / "data" / "golden_workload_csv_errors.json").read_text()
@@ -494,6 +535,63 @@ def test_loading_a_valid_file_builds_no_linear_query(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _repr_writer(workload: Workload, path) -> None:
+    """The per-coefficient writer save_workload_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "lo", "hi", "coeffs"])
+        rows = zip(workload._kinds, workload._lo, workload._hi, workload.matrix.tolist())
+        for kind, lo, hi, coeffs in rows:
+            writer.writerow([kind, lo, hi, " ".join(map(repr, coeffs))])
+
+
+def _edge_ranges(d: int) -> Workload:
+    """Ranges at both ends of d bins and the full range, between a subset and a general row."""
+    lo, hi = [0, 0, d - 1, 0], [0, d - 1, d - 1, d // 2]
+    ranges = list(range_workload(d, lo, hi))
+    subset = LinearQuery(np.arange(d) % 2, kind="subset")
+    general = LinearQuery(np.linspace(-1.5, 2.0, d))
+    return Workload(d, ranges[:2] + [subset] + ranges[2:] + [general])
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [_edge_ranges(d) for d in (1, 2, 3, 8)]
+    + [_mixed_workload(d, m, seed) for d, m in ((1, 6), (5, 30), (64, 200)) for seed in (0, 1)]
+    + [random_range_workload(256, 500, seed=3), range_workload(1, [0], [0])],
+    ids=lambda w: f"d={w.d},m={w.m},{'+'.join(sorted(set(w._kinds)))}",
+)
+def test_writer_bytes_match_the_per_coefficient_writer(tmp_path, workload):
+    save_workload_csv(workload, tmp_path / "new.csv")
+    _repr_writer(workload, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_written_range_rows_are_read_without_parsing_coefficients(tmp_path, monkeypatch):
+    w = _mixed_workload(16, 200, seed=5)
+    p = tmp_path / "w.csv"
+    save_workload_csv(w, p)
+    parsed = []
+    original = np.loadtxt
+
+    def recording_loadtxt(texts, *args, **kwargs):
+        parsed.extend(texts)
+        return original(texts, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    assert load_workload_csv(p) == w
+    assert len(parsed) == w._kinds.count("subset") + w._kinds.count("general")
+    ranges = range_workload(16, [0, 3, 15], [15, 9, 15])
+    save_workload_csv(ranges, p)
+    parsed.clear()
+    assert load_workload_csv(p) == ranges
+    assert parsed == []
+    # The same ranges spelled another way do take the parser.
+    p.write_text("kind,lo,hi,coeffs\nrange,1,2,0 1 1 0\n")
+    assert load_workload_csv(p) == range_workload(4, [1], [2])
+    assert parsed == ["0 1 1 0"]
+
+
 def _row_by_row_load(path) -> Workload:
     """The row-by-row reader the array reader replaced, with bad bounds reported at their row."""
     with open(path, newline="") as fh:
@@ -528,10 +626,20 @@ def _row_by_row_load(path) -> Workload:
     return Workload(d, queries)
 
 
+def _template(d: int, lo: int, hi: int) -> str:
+    """The coeffs text save_workload_csv writes for the range [lo, hi] over d bins."""
+    return " ".join("1.0" if lo <= j <= hi else "0.0" for j in range(d))
+
+
 @st.composite
 def _csv_rows(draw):
-    """Data rows over one d: mostly valid queries, some with a random fault."""
-    d = draw(st.integers(1, 3))
+    """Data rows over one d: mostly valid queries, some with a random fault.
+
+    Range rows come in the writer's spelling and in others ("1"/"0",
+    "1.00", padding); writer-spelled text also shows up with the wrong
+    bounds, at the wrong width and on subset and general rows.
+    """
+    d = draw(st.integers(1, 6))
     tokens = st.sampled_from(["0", "1", "1.0", "0.0", "0.5", "-2", "1e0", "nan", "-inf", "x"])
     bounds = st.sampled_from(["", "0", "1", "2", "-1", "3", "99999999999999999999", "x", "1.5"])
 
@@ -540,13 +648,23 @@ def _csv_rows(draw):
         if kind == "range":
             lo = draw(st.integers(0, d - 1))
             hi = draw(st.integers(lo, d - 1))
-            coeffs = ["1.0" if lo <= j <= hi else "0.0" for j in range(d)]
-            return [kind, str(lo), str(hi), " ".join(coeffs)]
+            one, zero = draw(st.sampled_from([("1.0", "0.0"), ("1", "0"), ("1.00", "0.0")]))
+            coeffs = " ".join(one if lo <= j <= hi else zero for j in range(d))
+            return [kind, str(lo), str(hi), draw(st.sampled_from(["", " "])) + coeffs]
         if kind == "subset":
             values = st.sampled_from(["0", "1"])
         else:
             values = st.sampled_from(["-2", "0.5", "1e0"])
         return [kind, "", "", " ".join(draw(st.lists(values, min_size=d, max_size=d)))]
+
+    def template_row():
+        width = draw(st.sampled_from([d, d, d + 1, max(d - 1, 1)]))
+        lo = draw(st.integers(0, width - 1))
+        hi = draw(st.integers(lo, width - 1))
+        kind = draw(st.sampled_from(["range", "range", "subset", "general"]))
+        lo_text = draw(st.sampled_from([str(lo), str(lo), str(lo + 1), "", "x"]))
+        hi_text = draw(st.sampled_from([str(hi), str(hi), str(hi - 1), str(width), ""]))
+        return [kind, lo_text, hi_text, _template(width, lo, hi)]
 
     def random_row():
         row = [
@@ -557,8 +675,9 @@ def _csv_rows(draw):
         ]
         return (row + ["extra"])[: draw(st.sampled_from([3, 4, 4, 4, 5]))]
 
+    makers = [valid_row, valid_row, template_row, random_row]
     n = draw(st.integers(1, 6))
-    return [valid_row() if draw(st.integers(0, 3)) else random_row() for _ in range(n)]
+    return [draw(st.sampled_from(makers))() for _ in range(n)]
 
 
 @settings(max_examples=500)
