@@ -32,7 +32,6 @@ from .histogram import (
 from .learning import (
     ModelMeta,
     PublishedModel,
-    TrainingSet,
     fit_linear,
     fit_rbf,
     load_model,
@@ -62,7 +61,6 @@ from .pipeline import (
     model_error_bound,
     noise_error_bound,
     total_error_bound,
-    training_workload_for,
 )
 from .seeds import derive_seed
 from .workload import (
@@ -108,7 +106,6 @@ __all__ = [
     "strategy_mechanism",
     "clamp_nonnegative",
     "save_noisy_answers",
-    "TrainingSet",
     "ModelMeta",
     "PublishedModel",
     "select_training_set",
@@ -121,7 +118,6 @@ __all__ = [
     "load_model",
     "MldpConfig",
     "mldp_publish",
-    "training_workload_for",
     "BoundParameters",
     "ErrorBound",
     "model_error_bound",

@@ -327,24 +327,12 @@ def _baseline_mae(mechanism, test, truth, hist, epsilon, rounds, seed) -> float:
 def _overlap_count(training: Workload, test: Workload) -> int:
     """How many test queries also appear in the training workload.
 
-    Test workloads are always ranges (``random_range_workload``), so a
-    query is its ``(lo, hi)`` pair and no rows are compared.  A training
-    range gives its stored bounds.  Any other training row is a
-    subset-pool mask, which is the same query as a range only when its
-    ones form one contiguous run, keyed by its first and last bin.
+    Both are range workloads: the test workload comes from
+    ``random_range_workload`` and a sweep's training workload from the
+    ranges pool.  So a query is its ``(lo, hi)`` pair and no rows are
+    compared.
     """
-    keys = {
-        (lo, hi)
-        for kind, lo, hi in zip(training._kinds, training._lo, training._hi)
-        if kind == "range"
-    }
-    masks = training.matrix[[i for i, kind in enumerate(training._kinds) if kind != "range"]]
-    if masks.size:
-        ones = masks == 1
-        first = ones.argmax(axis=1)
-        last = masks.shape[1] - 1 - ones[:, ::-1].argmax(axis=1)
-        run = ones.sum(axis=1) == last - first + 1
-        keys.update(zip(first[run].tolist(), last[run].tolist()))
+    keys = set(zip(training._lo, training._hi))
     return sum(key in keys for key in zip(test._lo, test._hi))
 
 

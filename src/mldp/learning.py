@@ -1,4 +1,4 @@
-"""Training sets, regression fitting, and released models.
+"""Training-set selection, regression fitting, and released models.
 
 The published artifact of the pipeline is a small regression model
 trained on noisy workload answers.  Prediction is pure post-processing:
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .mechanisms import NoisyAnswerSet
 
 __all__ = [
-    "TrainingSet",
     "ModelMeta",
     "PublishedModel",
     "select_training_set",
@@ -53,66 +52,6 @@ MODEL_KINDS = ("linear", "rbf")
 
 DEFAULT_LINEAR_RIDGE = 1e-6
 DEFAULT_RBF_RIDGE = 1e-3
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Query features paired with (noisy) target answers.
-
-    features is the (m x d) coefficient matrix of the training queries;
-    targets are the corresponding released answers.  sensitivity and
-    epsilon record how the targets were produced, and seed the noise
-    stream that produced them.
-    """
-
-    features: np.ndarray
-    targets: np.ndarray
-    sensitivity: float
-    epsilon: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        features = self.features
-        # A read-only float64 array that owns its data, such as a workload
-        # matrix, cannot change under the training set, so it is shared.
-        if not (
-            type(features) is np.ndarray
-            and features.dtype == np.float64
-            and not features.flags.writeable
-            and features.flags.owndata
-        ):
-            features = np.array(features, dtype=float)
-        targets = np.array(self.targets, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        if features.shape[0] < 1:
-            raise ValueError("a training set needs at least one query")
-        if targets.shape != (features.shape[0],):
-            raise ValueError(
-                f"{targets.size} targets for {features.shape[0]} training queries"
-            )
-        features.setflags(write=False)
-        targets.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    @classmethod
-    def from_noisy_answers(cls, result: NoisyAnswerSet) -> "TrainingSet":
-        return cls(
-            features=result.workload.matrix,
-            targets=result.answers,
-            sensitivity=result.sensitivity_used,
-            epsilon=result.epsilon_used,
-            seed=result.seed,
-        )
 
 
 def _check_int(value, field: str, config: str) -> None:
@@ -232,6 +171,7 @@ def select_training_set(
         )
     if pool not in _POOL_KINDS:
         raise ValueError(f"unknown pool {pool!r}; expected one of {_POOL_KINDS}")
+    d = _integer(d, "d")
     if strategy != "random_m":
         return range_workload(d, np.arange(d), np.arange(d))
     if m is None or _integer(m, "m") < 1:
@@ -241,33 +181,46 @@ def select_training_set(
     return pool_queries(d, picks, pool)
 
 
-def fit_linear(training: TrainingSet, ridge: float = DEFAULT_LINEAR_RIDGE) -> PublishedModel:
-    """Ridge-regress per-bin weights onto the training answers.
+def _release_meta(training: NoisyAnswerSet, with_mu: bool = False) -> ModelMeta:
+    """The provenance a model fitted to this training release records.
 
-    Solves min over v of ||F v - y||^2 + ridge * ||v||^2 through the
-    normal equations; with ridge = 0 a rank-deficient system falls back
-    to the minimum-norm least-squares solution.  The released weight
-    vector is [0.0, v]: the intercept slot stays zero because linear
-    query answers are homogeneous in the bins.
+    with_mu also records mu, the mean of the noisy answers.
+    """
+    if training.workload.m < 1:
+        raise ValueError("a training set needs at least one query")
+    return ModelMeta(
+        epsilon_consumed=training.epsilon_used,
+        training_m=training.workload.m,
+        sensitivity=training.sensitivity_used,
+        seed=training.seed,
+        mu=float(training.answers.mean()) if with_mu else None,
+    )
+
+
+def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) -> PublishedModel:
+    """Ridge-regress per-bin weights onto the noisy training answers.
+
+    The features F are the training workload's matrix and the targets y
+    its released answers.  Solves min over v of ||F v - y||^2 +
+    ridge * ||v||^2 through the normal equations; with ridge = 0 a
+    rank-deficient system falls back to the minimum-norm least-squares
+    solution.  The released weight vector is [0.0, v]: the intercept
+    slot stays zero because linear query answers are homogeneous in the
+    bins.
     """
     ridge = float(ridge)
     if ridge < 0 or math.isnan(ridge):
         raise ValueError("ridge must be non-negative")
-    features = training.features
-    targets = training.targets
+    meta = _release_meta(training)
+    features = training.workload.matrix
+    targets = training.answers
     if ridge > 0:
-        gram = features.T @ features + ridge * np.eye(training.d)
+        gram = features.T @ features + ridge * np.eye(training.workload.d)
         v = np.linalg.solve(gram, features.T @ targets)
     else:
         v, *_ = np.linalg.lstsq(features, targets, rcond=None)
     weights = np.concatenate(([0.0], v))
-    meta = ModelMeta(
-        epsilon_consumed=training.epsilon,
-        training_m=training.m,
-        sensitivity=training.sensitivity,
-        seed=training.seed,
-    )
-    return PublishedModel(kind="linear", d=training.d, weights=weights, meta=meta)
+    return PublishedModel(kind="linear", d=training.workload.d, weights=weights, meta=meta)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, width_u: float) -> np.ndarray:
@@ -309,40 +262,35 @@ def median_pairwise_distance(features: np.ndarray) -> float:
 
 
 def fit_rbf(
-    training: TrainingSet,
+    training: NoisyAnswerSet,
     width_u: float | None = None,
     ridge: float = DEFAULT_RBF_RIDGE,
 ) -> PublishedModel:
     """Kernel ridge regression with a Gaussian kernel over query features.
 
     Solves (K + ridge I) alpha = y where K is the kernel matrix of the
-    training queries; the training feature rows become the stored
-    centers.  width_u defaults to the median pairwise distance between
-    training features.  The mean of the training answers is kept in the
-    model metadata as mu.
+    training workload's rows and y its released answers; those rows
+    become the stored centers.  width_u defaults to the median pairwise
+    distance between the rows.  The mean of the training answers is kept
+    in the model metadata as mu.
     """
     ridge = float(ridge)
     if not ridge > 0 or math.isnan(ridge):
         raise ValueError("ridge must be positive for the kernel fit")
+    meta = _release_meta(training, with_mu=True)
+    features = training.workload.matrix
     if width_u is None:
-        width_u = median_pairwise_distance(training.features)
+        width_u = median_pairwise_distance(features)
     width_u = float(width_u)
     if not width_u > 0 or math.isnan(width_u):
         raise ValueError("width_u must be positive")
-    kernel = rbf_kernel(training.features, training.features, width_u)
-    alpha = np.linalg.solve(kernel + ridge * np.eye(training.m), training.targets)
-    meta = ModelMeta(
-        epsilon_consumed=training.epsilon,
-        training_m=training.m,
-        sensitivity=training.sensitivity,
-        seed=training.seed,
-        mu=float(training.targets.mean()),
-    )
+    kernel = rbf_kernel(features, features, width_u)
+    alpha = np.linalg.solve(kernel + ridge * np.eye(training.workload.m), training.answers)
     return PublishedModel(
         kind="rbf",
-        d=training.d,
+        d=training.workload.d,
         weights=alpha,
-        centers=training.features,
+        centers=features,
         width_u=width_u,
         meta=meta,
     )

@@ -112,6 +112,11 @@ class NoisyAnswerSet:
     joint workload sensitivity for direct Laplace answering, or the
     strategy sensitivity when the answers were reconstructed from a
     strategy's noisy measurements.
+
+    It is also what :func:`~mldp.learning.fit_linear` and
+    :func:`~mldp.learning.fit_rbf` fit: the workload's rows are the
+    training features, the answers the targets, and the rest goes into
+    the model's metadata.
     """
 
     workload: Workload

@@ -10,7 +10,7 @@ of queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .histogram import Histogram
 from .learning import (
@@ -19,7 +19,6 @@ from .learning import (
     MODEL_KINDS,
     SELECTION_STRATEGIES,
     PublishedModel,
-    TrainingSet,
     _check_int,
     fit_linear,
     fit_rbf,
@@ -32,7 +31,6 @@ from .workload import _POOL_KINDS, Workload
 __all__ = [
     "MldpConfig",
     "mldp_publish",
-    "training_workload_for",
     "BoundParameters",
     "ErrorBound",
     "model_error_bound",
@@ -73,7 +71,9 @@ class MldpConfig:
                 f"unknown selection {self.selection!r}; expected one of "
                 f"{SELECTION_STRATEGIES}"
             )
-        if self.selection == "random_m" and (self.m is None or int(self.m) < 1):
+        if self.m is not None:
+            _check_int(self.m, "m", "publish config")
+        if self.selection == "random_m" and (self.m is None or self.m < 1):
             raise ValueError("random_m selection needs m >= 1")
         if self.learner not in MODEL_KINDS:
             raise ValueError(
@@ -103,9 +103,8 @@ class MldpConfig:
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
         kwargs = dict(data)
-        for key in ("m", "seed"):
-            if key in kwargs and (key == "seed" or kwargs[key] is not None):
-                _check_int(kwargs[key], key, "publish config")
+        if "seed" in kwargs:
+            _check_int(kwargs["seed"], "seed", "publish config")
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -115,8 +114,8 @@ class MldpConfig:
 def training_workload_for(hist_d: int, config: MldpConfig) -> Workload:
     """The training workload a publish run with this config will buy.
 
-    Exposed so experiment harnesses can account for training/test query
-    overlap without re-implementing the selection seeding.
+    The benchmark sweep calls it again to count training/test query
+    overlap with the same selection seeding.
     """
     return select_training_set(
         hist_d, config.selection, config.m, derive_seed(config.seed, "select"), config.pool
@@ -140,13 +139,7 @@ def mldp_publish(hist: Histogram, config: MldpConfig, budget: PrivacyBudget) -> 
         derive_seed(config.seed, "noise"),
     )
     # The model records the run seed, not the derived noise seed.
-    training = TrainingSet(
-        training_workload.matrix,
-        noisy.answers,
-        noisy.sensitivity_used,
-        noisy.epsilon_used,
-        seed=config.seed,
-    )
+    training = replace(noisy, seed=config.seed)
     if config.learner == "linear":
         ridge = DEFAULT_LINEAR_RIDGE if config.ridge is None else config.ridge
         return fit_linear(training, ridge=ridge)

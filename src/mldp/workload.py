@@ -118,7 +118,7 @@ class Workload:
     __slots__ = ("_matrix", "_kinds", "_lo", "_hi")
 
     def __init__(self, d: int, queries):
-        d = int(d)
+        d = _integer(d, "d")
         if d < 1:
             raise ValueError("d must be at least 1")
         queries = tuple(queries)
@@ -185,7 +185,7 @@ class Workload:
 
 def range_workload(d: int, lo, hi) -> Workload:
     """The contiguous range-count queries over bins lo[i]..hi[i] (inclusive)."""
-    d = int(d)
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError("d must be at least 1")
     lo, hi = _integers(lo, "lo"), _integers(hi, "hi")
@@ -342,9 +342,9 @@ def random_range_workload(d: int, m: int, seed: int) -> Workload:
     indices and orders them, so duplicates are possible (and inevitable
     for small d).
     """
-    if d < 1:
+    if _integer(d, "d") < 1:
         raise ValueError("d must be at least 1")
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ValueError("m must be at least 1")
     rng = np.random.default_rng(seed)
     a = rng.integers(0, d, size=m)

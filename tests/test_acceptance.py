@@ -21,8 +21,8 @@ from mldp import (
     Histogram,
     LinearQuery,
     MldpConfig,
+    NoisyAnswerSet,
     PrivacyBudget,
-    TrainingSet,
     Workload,
     all_range_queries,
     all_subset_queries,
@@ -353,8 +353,9 @@ def test_acceptance_10_gradient_check(capsys):
         features = rng.normal(size=(m, d))
         targets = rng.normal(scale=10.0, size=m)
         ridge = float(10.0 ** rng.uniform(-6, -1))
-        t = TrainingSet(features, targets, 1.0, 1.0)
-        v = fit_linear(t, ridge=ridge).weights[1:]
+        workload = Workload(d, [LinearQuery(row) for row in features])
+        training = NoisyAnswerSet(workload, targets, 1.0, 1.0, seed=None)
+        v = fit_linear(training, ridge=ridge).weights[1:]
 
         def loss(vec):
             r = features @ vec - targets

@@ -344,7 +344,8 @@ def _overlap_by_row_bytes(training, test) -> int:
     return sum(row.tobytes() in keys for row in test.matrix)
 
 
-@pytest.mark.parametrize("pool", POOL_KINDS)
+# A sweep builds its training workloads from the ranges pool only.
+@pytest.mark.parametrize("pool", ["ranges"])
 @pytest.mark.parametrize("selection", SELECTION_STRATEGIES)
 def test_overlap_count_matches_row_bytes(selection, pool):
     # Small domains and many test queries, so most counts are far from 0.

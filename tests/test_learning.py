@@ -15,9 +15,9 @@ from mldp import (
     Histogram,
     LinearQuery,
     ModelMeta,
+    NoisyAnswerSet,
     PrivacyBudget,
     PublishedModel,
-    TrainingSet,
     Workload,
     fit_linear,
     fit_rbf,
@@ -25,6 +25,7 @@ from mldp import (
     load_model,
     median_pairwise_distance,
     predict,
+    random_range_workload,
     range_query,
     rbf_kernel,
     save_model,
@@ -34,16 +35,17 @@ from mldp import (
 TABLE_WEIGHTS = np.array([12.0, 24.0, 6.0, 7.0])
 
 
-def singleton_training(hist: Histogram) -> TrainingSet:
-    """Noiseless singleton training set for a histogram."""
+def singleton_training(hist: Histogram) -> NoisyAnswerSet:
+    """Noiseless singleton training release for a histogram."""
     w = Workload(hist.d, [range_query(i, i, hist.d) for i in range(hist.d)])
-    return TrainingSet(
-        features=w.matrix,
-        targets=hist.bins,
-        sensitivity=1.0,
-        epsilon=math.inf,
-        seed=0,
-    )
+    return NoisyAnswerSet(w, hist.bins, sensitivity_used=1.0, epsilon_used=math.inf, seed=0)
+
+
+def general_training(features, targets) -> NoisyAnswerSet:
+    """A training release whose queries are the given feature rows."""
+    features = np.asarray(features, dtype=float)
+    w = Workload(features.shape[1], [LinearQuery(row) for row in features])
+    return NoisyAnswerSet(w, targets, sensitivity_used=1.0, epsilon_used=1.0, seed=None)
 
 
 def finite_difference_gradient(features, targets, ridge, v, h=1e-6):
@@ -62,44 +64,58 @@ def finite_difference_gradient(features, targets, ridge, v, h=1e-6):
 
 
 class TestTrainingSet:
+    """The training release the fits read: a ``NoisyAnswerSet``."""
+
     def test_fields_and_shapes(self, hist4):
         t = singleton_training(hist4)
-        assert (t.m, t.d) == (4, 4)
-        np.testing.assert_array_equal(t.targets, TABLE_WEIGHTS)
+        assert (t.workload.m, t.workload.d) == (4, 4)
+        np.testing.assert_array_equal(t.answers, TABLE_WEIGHTS)
 
     def test_from_noisy_answers(self, hist4, ranges4):
+        # A Laplace release is fitted as it comes; the model records its provenance.
         out = laplace_batch(ranges4, hist4, PrivacyBudget(1.0), 1.0, seed=7)
-        t = TrainingSet.from_noisy_answers(out)
-        np.testing.assert_array_equal(t.features, ranges4.matrix)
-        np.testing.assert_array_equal(t.targets, out.answers)
-        assert (t.sensitivity, t.epsilon, t.seed) == (6.0, 1.0, 7)
+        for model in (fit_linear(out), fit_rbf(out)):
+            meta = model.meta
+            provenance = (meta.epsilon_consumed, meta.training_m, meta.sensitivity, meta.seed)
+            assert provenance == (1.0, 10, 6.0, 7)
 
-    def test_shares_a_workload_matrix(self, hist4, ranges4):
-        out = laplace_batch(ranges4, hist4, PrivacyBudget(1.0), 1.0, seed=7)
-        t = TrainingSet.from_noisy_answers(out)
-        assert np.shares_memory(t.features, out.workload.matrix)
+    def test_shares_a_workload_matrix(self):
+        # The linear fit reads the workload matrix in place: it never
+        # allocates a copy of the m x d features.
+        w = random_range_workload(64, 20_000, seed=3)
+        targets = np.random.default_rng(3).normal(size=w.m)
+        training = NoisyAnswerSet(w, targets, float(w.m), 1.0, seed=None)
+        tracemalloc.start()
+        try:
+            fit_linear(training)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.matrix.nbytes // 4
 
     def test_copies_a_writable_matrix(self):
+        # The workload keeps its own copy of the rows, so writes to the
+        # source array after the release do not reach the fit.
         features = np.eye(3)
-        t = TrainingSet(features, np.ones(3), 1.0, 1.0)
+        t = general_training(features, np.ones(3))
         features[0, 0] = 9.0
-        np.testing.assert_array_equal(t.features, np.eye(3))
-        assert not np.shares_memory(t.features, features)
+        np.testing.assert_array_equal(t.workload.matrix, np.eye(3))
+        assert not np.shares_memory(t.workload.matrix, features)
+        np.testing.assert_allclose(fit_linear(t, ridge=0.0).weights[1:], np.ones(3))
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="2-D"):
-            TrainingSet(np.zeros(3), np.zeros(3), 1.0, 1.0)
-        with pytest.raises(ValueError, match="at least one"):
-            TrainingSet(np.zeros((0, 3)), np.zeros(0), 1.0, 1.0)
-        with pytest.raises(ValueError, match="targets"):
-            TrainingSet(np.zeros((2, 3)), np.zeros(3), 1.0, 1.0)
+        w = Workload(3, [LinearQuery([1.0, 0.0, 0.0]), LinearQuery([0.0, 1.0, 1.0])])
+        with pytest.raises(ValueError, match="answers"):
+            NoisyAnswerSet(w, np.zeros((2, 1)), 1.0, 1.0, seed=None)
+        with pytest.raises(ValueError, match="answers"):
+            NoisyAnswerSet(w, np.zeros(3), 1.0, 1.0, seed=None)
 
     def test_arrays_read_only(self, hist4):
         t = singleton_training(hist4)
         with pytest.raises(ValueError):
-            t.features[0, 0] = 9.0
+            t.workload.matrix[0, 0] = 9.0
         with pytest.raises(ValueError):
-            t.targets[0] = 9.0
+            t.answers[0] = 9.0
 
 
 class TestSelection:
@@ -206,21 +222,21 @@ class TestFitLinear:
     def test_zero_ridge_rank_deficient_takes_minimum_norm(self):
         features = np.array([[1.0, 0.0], [1.0, 0.0]])
         targets = np.array([2.0, 2.0])
-        t = TrainingSet(features, targets, 1.0, 1.0)
+        t = general_training(features, targets)
         model = fit_linear(t, ridge=0.0)
         expected = np.linalg.pinv(features) @ targets
         np.testing.assert_allclose(model.weights[1:], expected, atol=1e-12)
 
     def test_single_query_fit_has_tiny_residual(self):
-        t = TrainingSet(np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([36.0]), 2.0, 1.0)
+        t = general_training([[1.0, 1.0, 0.0, 0.0]], [36.0])
         model = fit_linear(t, ridge=1e-9)
-        residual = t.features @ model.weights[1:] - t.targets
+        residual = t.workload.matrix @ model.weights[1:] - t.answers
         assert abs(residual[0]) < 1e-6
         np.testing.assert_allclose(model.weights[1:], [18.0, 18.0, 0.0, 0.0], atol=1e-6)
 
     def test_larger_ridge_shrinks_the_weights(self):
         rng = np.random.default_rng(0)
-        t = TrainingSet(rng.normal(size=(12, 5)), rng.normal(size=12), 1.0, 1.0)
+        t = general_training(rng.normal(size=(12, 5)), rng.normal(size=12))
         norms = [
             float(np.linalg.norm(fit_linear(t, ridge=r).weights[1:]))
             for r in (1e-8, 1e-4, 1e-2, 1.0, 100.0)
@@ -232,7 +248,7 @@ class TestFitLinear:
         features = rng.normal(size=(9, 4))
         targets = rng.normal(size=9)
         ridge = 0.01
-        t = TrainingSet(features, targets, 1.0, 1.0)
+        t = general_training(features, targets)
         v = fit_linear(t, ridge=ridge).weights[1:]
         at_solution = finite_difference_gradient(features, targets, ridge, v)
         away = finite_difference_gradient(features, targets, ridge, v + 0.1)
@@ -250,6 +266,11 @@ class TestFitLinear:
             fit_linear(t, ridge=-1.0)
         with pytest.raises(ValueError, match="ridge"):
             fit_linear(t, ridge=math.nan)
+
+    def test_rejects_an_empty_release(self):
+        empty = NoisyAnswerSet(Workload(3, []), np.zeros(0), 1.0, 1.0, seed=None)
+        with pytest.raises(ValueError, match="at least one"):
+            fit_linear(empty)
 
 
 class TestKernel:
@@ -313,29 +334,29 @@ class TestFitRbf:
     def test_near_interpolation_with_small_ridge(self, ranges4):
         rng = np.random.default_rng(5)
         targets = rng.normal(size=10)
-        t = TrainingSet(ranges4.matrix, targets, 6.0, 1.0)
+        t = NoisyAnswerSet(ranges4, targets, 6.0, 1.0, seed=None)
         model = fit_rbf(t, ridge=1e-9)
         np.testing.assert_allclose(predict(model, ranges4), targets, atol=1e-4)
 
     def test_default_width_is_median_distance(self, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 1.0)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
         model = fit_rbf(t)
         assert model.width_u == median_pairwise_distance(ranges4.matrix)
 
     def test_centers_are_the_training_features(self, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 1.0)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
         model = fit_rbf(t)
         np.testing.assert_array_equal(model.centers, ranges4.matrix)
         assert model.weights.shape == (10,)
 
     def test_mu_records_target_mean(self, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 1.0, seed=4)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=4)
         model = fit_rbf(t)
         assert model.meta.mu == 4.5
         assert model.meta.seed == 4
 
     def test_larger_ridge_shrinks_coefficients(self, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 1.0)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
         norms = [
             float(np.linalg.norm(fit_rbf(t, ridge=r).weights))
             for r in (1e-6, 1e-3, 1e-1, 10.0)
@@ -343,11 +364,16 @@ class TestFitRbf:
         assert norms == sorted(norms, reverse=True)
 
     def test_rejects_bad_ridge_and_width(self, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 1.0)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
         with pytest.raises(ValueError, match="ridge"):
             fit_rbf(t, ridge=0.0)
         with pytest.raises(ValueError, match="width_u"):
             fit_rbf(t, width_u=-1.0)
+
+    def test_rejects_an_empty_release(self):
+        empty = NoisyAnswerSet(Workload(3, []), np.zeros(0), 1.0, 1.0, seed=None)
+        with pytest.raises(ValueError, match="at least one"):
+            fit_rbf(empty)
 
 
 class TestPredict:
@@ -379,7 +405,7 @@ class TestModelFiles:
         np.testing.assert_array_equal(predict(again, ranges4), predict(model, ranges4))
 
     def test_rbf_round_trip(self, tmp_path, ranges4):
-        t = TrainingSet(ranges4.matrix, np.arange(10.0), 6.0, 0.5, seed=2)
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 0.5, seed=2)
         model = fit_rbf(t)
         p = tmp_path / "model.json"
         save_model(model, p)

@@ -30,7 +30,7 @@ from mldp import (
     workload_sensitivity,
 )
 from mldp import mechanisms
-from mldp.learning import TrainingSet, fit_linear
+from mldp.learning import fit_linear
 from mldp.mechanisms import _exponential_mechanism
 
 
@@ -510,9 +510,7 @@ def test_strategy_estimate_matches_dense_ridge_solve(strategy, epsilon):
         hist = generate_simulated_histogram(d, 1000, seed=d)
         padded = Histogram(np.pad(hist.bins, (0, strategy_workload.d - d)))
         measured = mechanisms._release(strategy_workload, padded, epsilon, seed=d)
-        dense = fit_linear(
-            TrainingSet.from_noisy_answers(measured), ridge=mechanisms._RECONSTRUCTION_RIDGE
-        ).weights[1:]
+        dense = fit_linear(measured, ridge=mechanisms._RECONSTRUCTION_RIDGE).weights[1:]
         estimate = mechanisms._strategy_estimate(strategy, measured.answers)
         if strategy == "identity":
             np.testing.assert_array_equal(estimate, dense, err_msg=f"d={d}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mldp import (
     InsufficientBudgetError,
     MldpConfig,
     PrivacyBudget,
-    TrainingSet,
     default_hypothesis_count,
     evaluate_workload,
     fit_linear,
@@ -23,8 +23,8 @@ from mldp import (
     predict,
     save_model,
     total_error_bound,
-    training_workload_for,
 )
+from mldp.pipeline import training_workload_for
 from mldp.seeds import derive_seed
 
 ZERO_NOISE = dict(epsilon=math.inf, selection="singleton", learner="linear", ridge=0.0)
@@ -56,6 +56,10 @@ class TestConfig:
             MldpConfig(selection="all")
         with pytest.raises(ValueError, match="random_m"):
             MldpConfig(selection="random_m")
+        with pytest.raises(ValueError, match="m=2.5 is not an integer"):
+            MldpConfig(selection="random_m", m=2.5)
+        with pytest.raises(ValueError, match="m=2.0 is not an integer"):
+            MldpConfig(m=2.0)
         with pytest.raises(ValueError, match="learner"):
             MldpConfig(learner="tree")
         with pytest.raises(ValueError, match="pool"):
@@ -102,8 +106,8 @@ class TestPublish:
         assert model.meta.sensitivity == 1.0
         assert model.meta.seed == 77
 
-    def test_publish_decomposes_into_select_buy_fit(self, hist4):
-        # Re-running the documented stages by hand must give the same model.
+    def test_publish_decomposes_into_select_buy_fit(self, tmp_path, hist4):
+        # Re-running the documented stages by hand must give the same model file.
         config = MldpConfig(epsilon=1.0, selection="random_m", m=12, seed=5)
         model = mldp_publish(hist4, config, PrivacyBudget(1.0))
         training_workload = training_workload_for(hist4.d, config)
@@ -114,8 +118,12 @@ class TestPublish:
             config.epsilon,
             derive_seed(config.seed, "noise"),
         )
-        manual = fit_linear(TrainingSet.from_noisy_answers(noisy))
-        np.testing.assert_array_equal(model.weights, manual.weights)
+        manual = fit_linear(replace(noisy, seed=config.seed))
+        save_model(model, tmp_path / "published.json")
+        save_model(manual, tmp_path / "manual.json")
+        assert (tmp_path / "published.json").read_bytes() == (
+            tmp_path / "manual.json"
+        ).read_bytes()
 
     def test_random_m_uses_the_requested_pool(self, hist4):
         config = MldpConfig(epsilon=1.0, selection="random_m", m=6, pool="subsets", seed=0)

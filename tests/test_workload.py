@@ -432,34 +432,65 @@ class TestWorkloadCsv:
         assert np.signbit(matrix).tolist() == [[False, False], [True, False]]
 
 
+# name: (the field the error names, a call with a non-integer, the same call with integers)
 _NON_INTEGRAL_CALLS = {
     "range_workload": (
+        "lo",
         lambda: range_workload(8, [0.5], [2.9]),
         lambda: range_workload(np.int64(8), np.array([0], dtype=np.int32), [np.int64(2)]),
     ),
     "LinearQuery": (
+        "lo",
         lambda: LinearQuery([0, 1, 1, 0], "range", lo=1.5, hi=2.2),
         lambda: LinearQuery([0, 1, 1, 0], "range", lo=np.int32(1), hi=2),
     ),
     "range_query": (
+        "lo",
         lambda: range_query(1.7, 3.2, 8),
         lambda: range_query(np.uint8(1), np.int64(3), 8),
     ),
     "pool_queries": (
+        "pool positions",
         lambda: pool_queries(4, [1.9], "ranges"),
         lambda: pool_queries(4, np.array([1], dtype=np.uint16), "ranges"),
     ),
     "select_training_set": (
+        "m",
         lambda: select_training_set(8, "random_m", m=2.7, seed=0),
         lambda: select_training_set(8, "random_m", m=np.int64(2), seed=0),
+    ),
+    "select_training_set-d": (
+        "d",
+        lambda: select_training_set(4.5, "singleton"),
+        lambda: select_training_set(np.int64(4), "singleton"),
+    ),
+    "Workload-d": (
+        "d",
+        lambda: Workload(3.5, []),
+        lambda: Workload(np.int32(3), []),
+    ),
+    "range_workload-d": (
+        "d",
+        lambda: range_workload(8.9, [0], [1]),
+        lambda: range_workload(np.uint8(8), [0], [1]),
+    ),
+    "random_range_workload-d": (
+        "d",
+        lambda: random_range_workload(8.0, 2, seed=0),
+        lambda: random_range_workload(np.int64(8), 2, seed=0),
+    ),
+    "random_range_workload-m": (
+        "m",
+        lambda: random_range_workload(8, 2.5, seed=0),
+        lambda: random_range_workload(8, np.int16(2), seed=0),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_CALLS))
 def test_non_integral_bounds_are_rejected(name):
-    bad, good = _NON_INTEGRAL_CALLS[name]
-    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+    field, bad, good = _NON_INTEGRAL_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{field} must be (an integer|integers)"):
         bad()
     assert good() is not None  # Python and numpy integers still pass
 
