@@ -82,6 +82,9 @@ class DatasetSpec:
                 raise ValueError("dataset spec takes a path or simulation fields, not both")
         elif any(v is None for v in simulated):
             raise ValueError("simulated dataset spec needs d, max_count and seed")
+        else:
+            for key, value in zip(("d", "max_count", "seed"), simulated):
+                _check_int(value, f"dataset {key}", "experiment config")
 
     def load(self) -> Histogram:
         if self.path is not None:
@@ -110,8 +113,6 @@ class DatasetSpec:
                 fields = {key: sim[key] for key in ("d", "max_count", "seed")}
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad simulated dataset spec: {exc}") from None
-            for key, value in fields.items():
-                _check_int(value, f"dataset {key}", "experiment config")
             return cls(**fields)
         raise ValueError("dataset spec needs 'path' or 'simulated'")
 
@@ -141,6 +142,8 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
+            _check_int(getattr(self, key), key, "experiment config")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         if not self.mechanisms:
@@ -205,9 +208,6 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys {sorted(missing)}")
         kwargs = dict(data)
         kwargs["dataset"] = DatasetSpec.from_dict(data["dataset"])
-        for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
-            if key in kwargs:
-                _check_int(kwargs[key], key, "experiment config")
         try:
             kwargs["mechanisms"] = tuple(data["mechanisms"])
             kwargs["grid"] = tuple(data["grid"])

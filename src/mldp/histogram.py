@@ -129,6 +129,13 @@ def load_histogram_csv(path) -> Histogram:
     return Histogram(counts, labels)
 
 
+def _integer(value, name: str) -> int:
+    """A single Python or numpy integer as int; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _csv_int(text: str) -> int:
     """An integer CSV field: ASCII digits with an optional sign.
 
@@ -162,9 +169,9 @@ def generate_simulated_histogram(d: int, max_count: int, seed: int) -> Histogram
     Deterministic given the seed: the same (d, max_count, seed) always
     produces identical bins.
     """
-    if d < 1:
+    if _integer(d, "d") < 1:
         raise ValueError("d must be at least 1")
-    if max_count < 0:
+    if _integer(max_count, "max_count") < 0:
         raise ValueError("max_count must be non-negative")
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, max_count + 1, size=d).astype(float)

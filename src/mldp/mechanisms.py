@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histogram import Histogram
-from .workload import Workload, evaluate_workload, range_workload, workload_sensitivity
+from .workload import Workload, _integer, evaluate_workload, range_workload, workload_sensitivity
 
 __all__ = [
     "InsufficientBudgetError",
@@ -260,10 +260,10 @@ def mwem_publish(
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
     if workload.m == 0:
         raise ValueError("the workload must contain at least one query")
-    rounds = int(rounds)
+    rounds = _integer(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if mw_iters < 1:
+    if _integer(mw_iters, "mw_iters") < 1:
         raise ValueError("mw_iters must be at least 1")
     epsilon = _check_epsilon(epsilon)
     total = hist.total

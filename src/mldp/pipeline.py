@@ -172,7 +172,8 @@ class BoundParameters:
             raise ValueError("hypothesis_count must exceed 1")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if int(self.m) < 1:
+        _check_int(self.m, "m", "bound parameters")
+        if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.sensitivity < 0 or math.isnan(self.sensitivity):
             raise ValueError("sensitivity must be non-negative")

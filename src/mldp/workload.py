@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .histogram import Histogram, _csv_int, neighbor
+from .histogram import Histogram, _csv_int, _integer, neighbor
 
 __all__ = [
     "LinearQuery",
@@ -56,29 +56,7 @@ class LinearQuery:
     __slots__ = ("_coeffs", "kind", "lo", "hi")
 
     def __init__(self, coeffs, kind: str = "general", lo=None, hi=None):
-        arr = np.array(coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("coeffs must be a non-empty one-dimensional sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown query kind {kind!r}")
-        if kind == "range":
-            if lo is None or hi is None:
-                raise ValueError("range queries need lo and hi")
-            lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
-            if not (0 <= lo <= hi < arr.size):
-                raise ValueError(f"invalid range [{lo}, {hi}] for d={arr.size}")
-            indicator = np.zeros(arr.size)
-            indicator[lo : hi + 1] = 1.0
-            if not np.array_equal(arr, indicator):
-                raise ValueError("range query coefficients must be the 0/1 indicator of [lo, hi]")
-            arr = indicator  # so a -0.0 coefficient is stored as 0.0
-        else:
-            if lo is not None or hi is not None:
-                raise ValueError("lo/hi only apply to range queries")
-            if kind == "subset" and not np.all((arr == 0) | (arr == 1)):
-                raise ValueError("subset query coefficients must be 0/1")
+        arr, lo, hi = _checked_query(coeffs, kind, lo, hi)
         arr.setflags(write=False)
         self._coeffs = arr
         self.kind = kind
@@ -105,6 +83,38 @@ class LinearQuery:
         if self.kind == "range":
             return f"LinearQuery(range [{self.lo}, {self.hi}], d={self.d})"
         return f"LinearQuery({self.kind}, d={self.d})"
+
+
+def _checked_query(coeffs, kind: str, lo, hi) -> tuple[np.ndarray, int | None, int | None]:
+    """The coefficients and bounds a valid query of this kind stores.
+
+    Raises ValueError naming the first rule the query breaks.  A range
+    query stores exactly the 0/1 indicator of its bounds, so a -0.0
+    coefficient is stored as 0.0.
+    """
+    arr = np.array(coeffs, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("coeffs must be a non-empty one-dimensional sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown query kind {kind!r}")
+    if kind == "range":
+        if lo is None or hi is None:
+            raise ValueError("range queries need lo and hi")
+        lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
+        if not (0 <= lo <= hi < arr.size):
+            raise ValueError(f"invalid range [{lo}, {hi}] for d={arr.size}")
+        indicator = np.zeros(arr.size)
+        indicator[lo : hi + 1] = 1.0
+        if not np.array_equal(arr, indicator):
+            raise ValueError("range query coefficients must be the 0/1 indicator of [lo, hi]")
+        return indicator, lo, hi
+    if lo is not None or hi is not None:
+        raise ValueError("lo/hi only apply to range queries")
+    if kind == "subset" and not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("subset query coefficients must be 0/1")
+    return arr, lo, hi
 
 
 class Workload:
@@ -219,13 +229,6 @@ def _integers(values, name: str) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got {values!r}")
     return arr.astype(np.int64, copy=False).reshape(-1)
-
-
-def _integer(value, name: str) -> int:
-    """A single Python or numpy integer as int; ValueError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def range_query(lo: int, hi: int, d: int) -> LinearQuery:
@@ -384,16 +387,14 @@ def _range_text(d: int, lo: int, hi: int) -> str:
 def load_workload_csv(path) -> Workload:
     """Read a workload CSV with columns kind, lo, hi, coeffs.
 
-    Any spelling of the coefficients that ``float`` reads is accepted.
-    A range row whose coeffs field is exactly what
-    :func:`save_workload_csv` writes for its bounds is a template row:
-    its matrix row is built from the bounds, and its coefficients are
-    never parsed.  The coeffs of every other row are parsed by one
-    ``np.loadtxt`` call and checked with array operations, so a valid
-    file builds no :class:`LinearQuery`.  Every range row is stored as
-    its 0/1 indicator.  A bad file is reported at its first bad row;
-    the message for a row that parses but is not a valid query comes
-    from building that one row's :class:`LinearQuery`.
+    Any spelling of the coefficients that ``np.loadtxt`` reads as floats
+    is accepted.  The data rows are read in one pass, in file order.  A
+    range row whose coeffs field is exactly what :func:`save_workload_csv`
+    writes for its bounds is a template row: its matrix row is built from
+    the bounds, and its coefficients are never parsed.  Every other row
+    is parsed on its own and checked by the rules :class:`LinearQuery`
+    applies, without building one.  Every range row is stored as its 0/1
+    indicator.  A bad file is reported at its first bad row.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -405,69 +406,64 @@ def load_workload_csv(path) -> Workload:
         raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    data = rows[1:]
-    try:
-        parsed, fault = _parse_rows(data), None
-    except ValueError:
-        # Some row does not parse; the rows before it do, and a bad
-        # query among them comes first.
-        k, fault = _first_parse_fault(data)
-        parsed = _parse_rows(data[:k]) if k else None
-    if parsed is not None:
-        kinds, lo, hi, parsed_rows, coeffs = parsed
-        columns = ([column[i] for i in parsed_rows] for column in (kinds, lo, hi))
-        bad = np.flatnonzero(~_valid_rows(coeffs, *columns))
-        if bad.size:
-            j, i = bad[0], parsed_rows[bad[0]]
-            try:
-                LinearQuery(coeffs[j], kinds[i], lo[i], hi[i])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i + 1}: {exc}") from None
-            raise AssertionError(f"row {i + 1} fails the array checks but not LinearQuery")
-    if fault is not None:
-        raise ValueError(f"{path}: row {k + 1}: {fault}")
-    # A range row is its indicator, so a -0.0 coefficient reads as 0.0;
-    # every other row gets the empty range [0, -1], then its coefficients.
-    ranges = [kind == "range" for kind in kinds]
+    d = None
+    kinds, lo, hi, parsed = [], [], [], {}
+    for i, row in enumerate(rows[1:]):
+        try:
+            kind, a, b, width, coeffs = _read_row(row, d)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i + 1}: {exc}") from None
+        d = width
+        kinds.append(kind)
+        lo.append(a)
+        hi.append(b)
+        if kind != "range":
+            parsed[i] = coeffs
+    # A range row is its indicator; every other row has no bounds and
+    # gets the empty range [0, -1], then its coefficients.
     matrix = _range_indicators(
-        coeffs.shape[1],
-        np.array([a if r else 0 for a, r in zip(lo, ranges)], dtype=np.int64),
-        np.array([b if r else -1 for b, r in zip(hi, ranges)], dtype=np.int64),
+        d,
+        np.array([0 if a is None else a for a in lo], dtype=np.int64),
+        np.array([-1 if b is None else b for b in hi], dtype=np.int64),
     ).astype(float)
-    kept = [j for j, i in enumerate(parsed_rows) if not ranges[i]]
-    matrix[[parsed_rows[j] for j in kept]] = coeffs[kept]
+    if parsed:
+        matrix[list(parsed)] = np.stack(list(parsed.values()))
     return Workload._of(matrix, kinds, lo, hi)
 
 
-def _parse_rows(rows):
-    """The kinds, bounds and coefficients of CSV data rows, column by column.
+def _read_row(row, d: int | None):
+    """(kind, lo, hi, width, coeffs) of one valid CSV data row.
 
-    Returns (kinds, lo, hi, parsed_rows, coeffs): parsed_rows indexes
-    the rows that are not template rows, and coeffs holds their parsed
-    coefficients.  Raises ValueError, without saying where, if any row
-    does not parse.
+    ``d`` is the width every row must have, None for the first row.
+    coeffs is None for a template row, which is a valid range by
+    construction.  Raises ValueError for the first fault, in the order
+    columns, coefficients, width, bounds, query rules.
     """
-    if any(len(row) != 4 for row in rows):
-        raise ValueError("a row does not have 4 columns")
-    kinds, lo, hi, texts = ([c.strip() for c in column] for column in zip(*rows))
-    if not all(texts):  # np.loadtxt would skip the blank line
-        raise ValueError("a row has an empty coefficient list")
-    lo, hi = [_bound(b) for b in lo], [_bound(b) for b in hi]
-    parsed_rows, widths = [], set()
-    for i, row in enumerate(zip(kinds, lo, hi, texts)):
-        width = _template_width(*row)
-        if width:
-            widths.add(width)
-        else:
-            parsed_rows.append(i)
-    if parsed_rows:
-        coeffs = np.loadtxt([texts[i] for i in parsed_rows], dtype=float, comments=None, ndmin=2)
-        widths.add(coeffs.shape[1])
-    if len(widths) != 1:
-        raise ValueError("rows do not all have the same number of coefficients")
-    if not parsed_rows:
-        coeffs = np.empty((0, *widths))
-    return kinds, lo, hi, parsed_rows, coeffs
+    if len(row) != 4:
+        raise ValueError(f"expected 4 columns, got {len(row)}")
+    kind, lo_text, hi_text, text = [c.strip() for c in row]
+    try:
+        bounds = _bound(lo_text), _bound(hi_text)
+    except ValueError:
+        bounds = None
+    width = _template_width(kind, *bounds, text) if bounds else None
+    coeffs = None
+    if width is None:
+        if not text:
+            raise ValueError("empty coefficient list")
+        try:
+            coeffs = np.loadtxt([text], dtype=float, comments=None, ndmin=2)[0]
+        except ValueError:
+            raise ValueError("bad coefficient list") from None
+        width = coeffs.size
+    if d is not None and width != d:
+        raise ValueError(f"expected {d} coefficients, got {width}")
+    if bounds is None:
+        raise ValueError(f"bad lo/hi {lo_text!r}, {hi_text!r}: expected integers")
+    if coeffs is None:
+        return kind, *bounds, width, None
+    coeffs, lo, hi = _checked_query(coeffs, kind, *bounds)
+    return kind, lo, hi, width, coeffs
 
 
 def _bound(text: str) -> int | None:
@@ -481,54 +477,3 @@ def _template_width(kind: str, lo: int | None, hi: int | None, text: str) -> int
         if text == _range_text(d, lo, hi):
             return d
     return None
-
-
-def _first_parse_fault(rows) -> tuple[int, str]:
-    """Index of the first row that :func:`_parse_rows` cannot parse, and why."""
-    d = None
-    for k, row in enumerate(rows):
-        if len(row) != 4:
-            return k, f"expected 4 columns, got {len(row)}"
-        _, lo, hi, text = (c.strip() for c in row)
-        if not text:
-            return k, "empty coefficient list"
-        try:
-            n = np.loadtxt([text], dtype=float, comments=None, ndmin=2).shape[1]
-        except ValueError:
-            return k, "bad coefficient list"
-        if d is None:
-            d = n
-        elif n != d:
-            return k, f"expected {d} coefficients, got {n}"
-        try:
-            _bound(lo), _bound(hi)
-        except ValueError:
-            return k, f"bad lo/hi {lo!r}, {hi!r}: expected integers"
-    raise AssertionError("every row parses on its own but not together")
-
-
-def _valid_rows(matrix, kinds, lo, hi) -> np.ndarray:
-    """Which rows pass the :class:`LinearQuery` checks, all rows at once."""
-    d = matrix.shape[1]
-    kinds = np.array(kinds)
-    lo_given = np.array([b is not None for b in lo], dtype=bool)
-    hi_given = np.array([b is not None for b in hi], dtype=bool)
-    # A missing bound reads as -1, and clipping to [-1, d] keeps every
-    # comparison below while fitting any int into int64.
-    lo = np.array([-1 if b is None else min(max(b, -1), d) for b in lo], dtype=np.int64)
-    hi = np.array([-1 if b is None else min(max(b, -1), d) for b in hi], dtype=np.int64)
-    range_ok = (
-        lo_given
-        & hi_given
-        & (0 <= lo)
-        & (lo <= hi)
-        & (hi < d)
-        & np.all(matrix == _range_indicators(d, lo, hi), axis=1)
-    )
-    binary = np.all((matrix == 0) | (matrix == 1), axis=1)
-    return (
-        np.all(np.isfinite(matrix), axis=1)
-        & np.isin(kinds, _KINDS)
-        & np.where(kinds == "range", range_ok, ~lo_given & ~hi_given)
-        & ((kinds != "subset") | binary)
-    )

@@ -78,6 +78,12 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="needs d, max_count and seed"):
             DatasetSpec(d=4)
 
+    @pytest.mark.parametrize("field", ["d", "max_count", "seed"])
+    def test_rejects_non_integer_simulation_fields(self, field):
+        fields = {"d": 4, "max_count": 10, "seed": 0, field: 4.5}
+        with pytest.raises(ValueError, match=f"wrong type: dataset {field}=4.5 is not an integer"):
+            DatasetSpec(**fields)
+
     def test_dict_round_trip(self):
         assert DatasetSpec.from_dict(SIM.to_dict()) == SIM
         spec = DatasetSpec(path="data/h.csv")
@@ -131,6 +137,11 @@ class TestExperimentConfig:
             small_config(rounds=0)
         with pytest.raises(ValueError, match="trials"):
             small_config(trials=0)
+
+    @pytest.mark.parametrize("field", ["training_m", "test_m", "rounds", "trials", "base_seed"])
+    def test_rejects_non_integer_counts(self, field):
+        with pytest.raises(ValueError, match=f"wrong type: {field}=2.5 is not an integer"):
+            small_config(**{field: 2.5})
 
     def test_from_dict_key_checks(self):
         with pytest.raises(ValueError, match="unknown config keys"):

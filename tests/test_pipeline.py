@@ -161,6 +161,10 @@ class TestBounds:
         assert value == pytest.approx(25.419418121494672, rel=1e-12)
         assert abs(value - 25.4196) < 5e-4
 
+    def test_rejects_a_non_integer_m(self):
+        with pytest.raises(ValueError, match="m=2.5 is not an integer"):
+            BoundParameters(n_records=100, hypothesis_count=16, beta=0.05, m=2.5)
+
     def test_noise_bound_worked_value(self):
         p = BoundParameters(
             n_records=100, hypothesis_count=16, beta=0.05, m=100, sensitivity=1.0, epsilon=1.0
