@@ -12,6 +12,7 @@ carry fractional mass; CSV ingestion accepts non-negative integers only.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from pathlib import Path
 
@@ -99,10 +100,7 @@ def load_histogram_csv(path) -> Histogram:
     with its data-row index (the first row after the header is row 1).
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    rows = _csv_rows(path)
     header = tuple(c.strip().lower() for c in rows[0])
     if header != _HEADER:
         raise ValueError(
@@ -129,11 +127,39 @@ def load_histogram_csv(path) -> Histogram:
     return Histogram(counts, labels)
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """The non-empty rows of a CSV file; ValueError naming the path if there are none.
+
+    A field may be as long as the file (a workload range row over d bins
+    is 4d - 1 characters), so the process-wide csv field limit is raised
+    to the file size for this read and restored after it.  A file the
+    csv module cannot read raises ValueError with the path and line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        limit = csv.field_size_limit()
+        csv.field_size_limit(max(limit, min(os.fstat(fh.fileno()).st_size, 2**31 - 1)))
+        try:
+            rows = [r for r in reader if r]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        finally:
+            csv.field_size_limit(limit)
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    return rows
+
+
 def _integer(value, name: str) -> int:
     """A single Python or numpy integer as int; ValueError for anything else."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(seed) -> int | None:
+    """An optional seed as int: None, or a Python or numpy integer; ValueError for anything else."""
+    return None if seed is None else _integer(seed, "seed")
 
 
 def _csv_int(text: str) -> int:
@@ -173,7 +199,7 @@ def generate_simulated_histogram(d: int, max_count: int, seed: int) -> Histogram
         raise ValueError("d must be at least 1")
     if _integer(max_count, "max_count") < 0:
         raise ValueError("max_count must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     bins = rng.integers(0, max_count + 1, size=d).astype(float)
     return Histogram(bins)
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .histogram import _seed
 from .workload import (
     _POOL_KINDS,
     Workload,
@@ -176,7 +177,7 @@ def select_training_set(
         return range_workload(d, np.arange(d), np.arange(d))
     if m is None or _integer(m, "m") < 1:
         raise ValueError("random_m needs m >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     picks = rng.integers(0, pool_size(d, pool), size=int(m))
     return pool_queries(d, picks, pool)
 
@@ -207,6 +208,11 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     solution.  The released weight vector is [0.0, v]: the intercept
     slot stays zero because linear query answers are homogeneous in the
     bins.
+
+    With ridge > 0, a workload whose range bounds are the d single bins
+    in bin order, or the dyadic tree of :func:`_dyadic_bounds`, is
+    solved in closed form with no matrix formed (see
+    :func:`_strategy_estimate`); any other workload forms F^T F.
     """
     ridge = float(ridge)
     if ridge < 0 or math.isnan(ridge):
@@ -214,13 +220,71 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     meta = _release_meta(training)
     features = training.workload.matrix
     targets = training.answers
-    if ridge > 0:
-        gram = features.T @ features + ridge * np.eye(training.workload.d)
-        v = np.linalg.solve(gram, features.T @ targets)
-    else:
+    if ridge == 0:
         v, *_ = np.linalg.lstsq(features, targets, rcond=None)
+    else:
+        v = _strategy_estimate(training.workload, targets, ridge)
+        if v is None:
+            gram = features.T @ features + ridge * np.eye(training.workload.d)
+            v = np.linalg.solve(gram, features.T @ targets)
     weights = np.concatenate(([0.0], v))
     return PublishedModel(kind="linear", d=training.workload.d, weights=weights, meta=meta)
+
+
+def _dyadic_bounds(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the dyadic intervals over p = 2^k bins, root level first, left to right."""
+    lengths = p >> np.arange(p.bit_length())
+    lo = np.concatenate([np.arange(0, p, n) for n in lengths])
+    return lo, lo + np.repeat(lengths, p // lengths) - 1
+
+
+def _strategy_estimate(workload: Workload, measured: np.ndarray, ridge: float) -> np.ndarray | None:
+    """The ridge solution ``(F^T F + ridge I)^-1 F^T y`` for two strategy structures.
+
+    F is the matrix of ``workload``, y its noisy answers ``measured``.
+    The structure is read from the rows' range bounds; the solution is
+    exact, with no matrix formed.  Returns None for any other workload.
+
+    singleton      the d bins [j, j] in bin order: F = I, so the
+                   solution is ``y / (1 + ridge)``.
+    dyadic tree    the rows of :func:`_dyadic_bounds` over d = 2^k bins:
+                   F^T F is one all-ones block per tree node, which the
+                   Haar basis diagonalizes.  A wavelet whose support is
+                   n bins has eigenvalue n - 1, and the constant vector
+                   over the d bins has 2d - 1.  F^T y adds each level's
+                   answers over its blocks; one Haar transform, a
+                   scaling by 1 / (eigenvalue + ridge) and the inverse
+                   transform then give the solution in O(d).
+    """
+    d, lo, hi = workload.d, workload._lo, workload._hi
+    if workload.m == d and lo == hi == tuple(range(d)):
+        return measured / (1.0 + ridge)
+    if workload.m != 2 * d - 1 or d & (d - 1):
+        return None
+    tree_lo, tree_hi = _dyadic_bounds(d)
+    if lo != tuple(tree_lo.tolist()) or hi != tuple(tree_hi.tolist()):
+        return None
+    # F^T y, root level first: level k holds rows 2^k - 1 .. 2^(k+1) - 2,
+    # and each bin sums its block's answer at every level.
+    x = measured[:1]
+    while x.size < d:
+        x = np.repeat(x, 2) + measured[2 * x.size - 1 : 4 * x.size - 1]
+    # Forward Haar transform, unnormalized: block sums and left-minus-right
+    # differences, leaves first.
+    differences = []
+    while x.size > 1:
+        left, right = x[0::2], x[1::2]
+        differences.append(left - right)
+        x = left + right
+    # Scale and invert, root first.  A block of n bins with sums L and R
+    # on its halves adds +-(L - R) / (n * (n - 1 + ridge)) to them.
+    v = x / (d * (2 * d - 1 + ridge))
+    n = d
+    for difference in reversed(differences):
+        step = difference / (n * (n - 1 + ridge))
+        v = np.stack((v + step, v - step), axis=1).ravel()
+        n >>= 1
+    return v
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, width_u: float) -> np.ndarray:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import Histogram
+from .histogram import Histogram, _seed
+from .learning import _dyadic_bounds, fit_linear
 from .workload import Workload, _integer, evaluate_workload, range_workload, workload_sensitivity
 
 __all__ = [
@@ -189,6 +190,7 @@ def laplace_batch(
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
     epsilon = _check_epsilon(epsilon)
+    seed = _seed(seed)
     if workload.m == 0:
         return NoisyAnswerSet(workload, np.zeros(0), 0.0, epsilon, seed)
     budget.charge(f"laplace batch m={workload.m}", epsilon)
@@ -265,6 +267,7 @@ def mwem_publish(
         raise ValueError("rounds must be at least 1")
     if _integer(mw_iters, "mw_iters") < 1:
         raise ValueError("mw_iters must be at least 1")
+    seed = _seed(seed)
     epsilon = _check_epsilon(epsilon)
     total = hist.total
     if total <= 0:
@@ -372,54 +375,8 @@ def _strategy_workload(strategy: str, d: int) -> Workload:
         return range_workload(d, np.arange(d), np.arange(d))
     if strategy == "hierarchical":
         padded = 1 << (d - 1).bit_length()
-        lengths = padded >> np.arange(padded.bit_length())
-        lo = np.concatenate([np.arange(0, padded, n) for n in lengths])
-        return range_workload(padded, lo, lo + np.repeat(lengths, padded // lengths) - 1)
+        return range_workload(padded, *_dyadic_bounds(padded))
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-
-def _strategy_estimate(strategy: str, measured: np.ndarray) -> np.ndarray:
-    """The ridge solution ``(F^T F + ridge I)^-1 F^T y`` over the strategy's bins.
-
-    F is the matrix of ``_strategy_workload(strategy, d)``, y its noisy
-    answers ``measured`` (in that workload's row order) and ridge is
-    ``_RECONSTRUCTION_RIDGE``; the solution is exact for either
-    structure, with no matrix formed.
-
-    identity       F = I, so the solution is ``y / (1 + ridge)``.
-    hierarchical   F^T F is one all-ones block per tree node, which the
-                   Haar basis diagonalizes: a wavelet whose support is
-                   n bins has eigenvalue n - 1, and the constant vector
-                   over the p padded bins has 2p - 1.  F^T y adds each
-                   level's answers over its blocks; one Haar transform,
-                   a scaling by 1 / (eigenvalue + ridge) and the inverse
-                   transform then give the solution in O(p).
-    """
-    ridge = _RECONSTRUCTION_RIDGE
-    if strategy == "identity":
-        return measured / (1.0 + ridge)
-    # The p padded bins; tree level k holds rows 2^k - 1 .. 2^(k+1) - 2.
-    p = (measured.size + 1) // 2
-    # F^T y, root level first: each bin sums its block's answer at every level.
-    x = measured[:1]
-    while x.size < p:
-        x = np.repeat(x, 2) + measured[2 * x.size - 1 : 4 * x.size - 1]
-    # Forward Haar transform, unnormalized: block sums and left-minus-right
-    # differences, leaves first.
-    differences = []
-    while x.size > 1:
-        left, right = x[0::2], x[1::2]
-        differences.append(left - right)
-        x = left + right
-    # Scale and invert, root first.  A block of n bins with sums L and R
-    # on its halves adds +-(L - R) / (n * (n - 1 + ridge)) to them.
-    v = x / (p * (2 * p - 1 + ridge))
-    n = p
-    for difference in reversed(differences):
-        step = difference / (n * (n - 1 + ridge))
-        v = np.stack((v + step, v - step), axis=1).ravel()
-        n >>= 1
-    return v
 
 
 def strategy_mechanism(
@@ -435,14 +392,16 @@ def strategy_mechanism(
 
     The strategy workload A (singleton bins, or the dyadic interval tree
     over the domain padded to a power of two) gets one Laplace release
-    scaled to A's own sensitivity.  The bin estimate is the exact ridge
-    solution for A's structure (see :func:`_strategy_estimate`), and the
-    requested workload is answered exactly on that estimate.  Charges
-    exactly ``epsilon``.
+    scaled to A's own sensitivity.  The bin estimate is the linear model
+    :func:`~mldp.learning.fit_linear` fits to that release with ridge
+    ``_RECONSTRUCTION_RIDGE``, which it solves in closed form for both
+    structures, and the requested workload is answered exactly on that
+    estimate.  Charges exactly ``epsilon``.
     """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
     epsilon = _check_epsilon(epsilon)
+    seed = _seed(seed)
     strategy_workload = _strategy_workload(strategy, hist.d)
     if budget is None:
         budget = PrivacyBudget(epsilon)
@@ -450,11 +409,11 @@ def strategy_mechanism(
 
     padded = Histogram(np.pad(hist.bins, (0, strategy_workload.d - hist.d)))
     measured = _release(strategy_workload, padded, epsilon, seed)
-    estimate = _strategy_estimate(strategy, measured.answers)
+    model = fit_linear(measured, ridge=_RECONSTRUCTION_RIDGE)
 
     return NoisyAnswerSet(
         workload,
-        workload.matrix @ estimate[: hist.d],
+        workload.matrix @ model.weights[1 : hist.d + 1],
         sensitivity_used=measured.sensitivity_used,
         epsilon_used=epsilon,
         seed=seed,

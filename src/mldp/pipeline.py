@@ -81,6 +81,7 @@ class MldpConfig:
             )
         if self.pool not in _POOL_KINDS:
             raise ValueError(f"unknown pool {self.pool!r}; expected one of {_POOL_KINDS}")
+        _check_int(self.seed, "seed", "publish config")
 
     def to_dict(self) -> dict:
         return {
@@ -102,11 +103,8 @@ class MldpConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
-        kwargs = dict(data)
-        if "seed" in kwargs:
-            _check_int(kwargs["seed"], "seed", "publish config")
         try:
-            return cls(**kwargs)
+            return cls(**data)
         except TypeError as exc:
             raise ValueError(f"publish config field of the wrong type: {exc}") from None
 

@@ -9,13 +9,12 @@ perturbs the full answer vector by exactly one (signed) column.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .histogram import Histogram, _csv_int, _integer, neighbor
+from .histogram import Histogram, _csv_int, _csv_rows, _integer, neighbor
 
 __all__ = [
     "LinearQuery",
@@ -349,7 +348,7 @@ def random_range_workload(d: int, m: int, seed: int) -> Workload:
         raise ValueError("d must be at least 1")
     if _integer(m, "m") < 1:
         raise ValueError("m must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     a = rng.integers(0, d, size=m)
     b = rng.integers(0, d, size=m)
     return range_workload(d, np.minimum(a, b), np.maximum(a, b))
@@ -397,10 +396,7 @@ def load_workload_csv(path) -> Workload:
     indicator.  A bad file is reported at its first bad row.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    rows = _csv_rows(path)
     header = tuple(c.strip().lower() for c in rows[0])
     if header != ("kind", "lo", "hi", "coeffs"):
         raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")

@@ -21,6 +21,7 @@ from mldp import (
     Workload,
     fit_linear,
     fit_rbf,
+    generate_simulated_histogram,
     laplace_batch,
     load_model,
     median_pairwise_distance,
@@ -31,8 +32,28 @@ from mldp import (
     save_model,
     select_training_set,
 )
+from mldp.learning import DEFAULT_LINEAR_RIDGE, _dyadic_bounds
+from mldp.workload import range_workload
 
 TABLE_WEIGHTS = np.array([12.0, 24.0, 6.0, 7.0])
+
+
+def _swap_two_tree_rows(d):
+    lo, hi = _dyadic_bounds(d)
+    order = np.arange(lo.size)
+    order[[1, 2]] = order[[2, 1]]
+    return lo[order], hi[order]
+
+
+# name: d -> the (lo, hi) bounds of a range set near a closed-form strategy
+NEAR_STRATEGY_BOUNDS = {
+    "reversed-singletons": lambda d: (np.arange(d)[::-1], np.arange(d)[::-1]),
+    "duplicated-singleton": lambda d: (np.r_[0, 0, 2 : d], np.r_[0, 0, 2 : d]),
+    "appended-duplicate": lambda d: (np.r_[0:d, 3], np.r_[0:d, 3]),
+    "incomplete-singletons": lambda d: (np.arange(d - 1), np.arange(d - 1)),
+    "reordered-tree": _swap_two_tree_rows,
+    "truncated-tree": lambda d: tuple(b[:-1] for b in _dyadic_bounds(d)),
+}
 
 
 def singleton_training(hist: Histogram) -> NoisyAnswerSet:
@@ -271,6 +292,30 @@ class TestFitLinear:
         empty = NoisyAnswerSet(Workload(3, []), np.zeros(0), 1.0, 1.0, seed=None)
         with pytest.raises(ValueError, match="at least one"):
             fit_linear(empty)
+
+    @pytest.mark.parametrize("name", sorted(NEAR_STRATEGY_BOUNDS))
+    def test_near_strategy_ranges_take_the_dense_solve(self, name, monkeypatch):
+        """Only exact singleton or dyadic-tree bounds take a closed form.
+
+        Each of these range sets is one edit away from one of them; the
+        fit must run one dense solve and equal the normal equations
+        solved inline.
+        """
+        d = 16
+        lo, hi = NEAR_STRATEGY_BOUNDS[name](d)
+        workload = range_workload(d, lo, hi)
+        release = laplace_batch(
+            workload, generate_simulated_histogram(d, 1000, 3), PrivacyBudget(1.0), 1.0, 5
+        )
+        features = workload.matrix
+        gram = features.T @ features + DEFAULT_LINEAR_RIDGE * np.eye(d)
+        dense = np.linalg.solve(gram, features.T @ release.answers)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        weights = fit_linear(release).weights
+        assert solves == [1]
+        np.testing.assert_array_equal(weights[1:], dense)
 
 
 class TestKernel:

@@ -29,8 +29,8 @@ from mldp import (
     strategy_mechanism,
     workload_sensitivity,
 )
-from mldp import mechanisms
-from mldp.learning import fit_linear
+from mldp import MldpConfig, derive_seed, mechanisms, mldp_publish, select_training_set
+from mldp.learning import DEFAULT_LINEAR_RIDGE, fit_linear
 from mldp.mechanisms import _exponential_mechanism
 
 
@@ -495,27 +495,57 @@ def test_strategy_workload_matches_dense_reference(strategy):
         assert workload_sensitivity(w) == sensitivity, d
 
 
+def _dense_ridge_solve(release, ridge: float) -> np.ndarray:
+    """Reference: the normal equations of a release, formed and solved densely."""
+    features = release.workload.matrix
+    gram = features.T @ features + ridge * np.eye(release.workload.d)
+    return np.linalg.solve(gram, features.T @ release.answers)
+
+
 @pytest.mark.parametrize("epsilon", [0.1, 1.0, math.inf])
 @pytest.mark.parametrize("strategy", ["identity", "hierarchical"])
-def test_strategy_estimate_matches_dense_ridge_solve(strategy, epsilon):
-    """The closed-form reconstruction against the dense solve it replaced.
+def test_strategy_estimate_matches_dense_ridge_solve(strategy, epsilon, monkeypatch):
+    """The closed-form fits against the dense solve they replaced.
 
-    The reference is ``fit_linear`` with the reconstruction ridge on the
-    strategy workload's noisy answers.  Identity must agree bitwise.
-    The Haar path adds in another order than the LU solve, so there the
-    bin estimates must agree to 1e-12 of their largest magnitude.
+    ``fit_linear`` on a strategy release takes the closed form (it runs
+    no ``np.linalg.solve``); the reference forms F^T F and solves it.
+    Identity must agree bitwise, at the reconstruction ridge and, as
+    the singleton mldp fit, at the default linear ridge.  The Haar path
+    adds in another order than the LU solve, so there the bin estimates
+    must agree to 1e-12 of their largest magnitude.
     """
     for d in [*range(1, 71), 100, 127, 128, 129, 256, 512]:
         strategy_workload = mechanisms._strategy_workload(strategy, d)
         hist = generate_simulated_histogram(d, 1000, seed=d)
         padded = Histogram(np.pad(hist.bins, (0, strategy_workload.d - d)))
         measured = mechanisms._release(strategy_workload, padded, epsilon, seed=d)
-        dense = fit_linear(measured, ridge=mechanisms._RECONSTRUCTION_RIDGE).weights[1:]
-        estimate = mechanisms._strategy_estimate(strategy, measured.answers)
         if strategy == "identity":
-            np.testing.assert_array_equal(estimate, dense, err_msg=f"d={d}")
+            config = MldpConfig(epsilon=epsilon, seed=d)
+            training = laplace_batch(
+                select_training_set(d, "singleton"),
+                hist,
+                PrivacyBudget(epsilon),
+                epsilon,
+                derive_seed(d, "noise"),
+            )
+            cases = [
+                (measured, mechanisms._RECONSTRUCTION_RIDGE, None),
+                (training, DEFAULT_LINEAR_RIDGE, config),
+            ]
         else:
-            assert np.abs(estimate - dense).max() <= 1e-12 * np.abs(dense).max(), d
+            cases = [(measured, mechanisms._RECONSTRUCTION_RIDGE, None)]
+        for release, ridge, config in cases:
+            dense = _dense_ridge_solve(release, ridge)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", None)  # any dense solve raises
+                if config is None:
+                    estimate = fit_linear(release, ridge=ridge).weights[1:]
+                else:
+                    estimate = mldp_publish(hist, config, PrivacyBudget(epsilon)).weights[1:]
+            if strategy == "identity":
+                np.testing.assert_array_equal(estimate, dense, err_msg=f"d={d}")
+            else:
+                assert np.abs(estimate - dense).max() <= 1e-12 * np.abs(dense).max(), d
 
 
 GOLDEN_STRATEGY = json.loads(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from mldp import (
     default_hypothesis_count,
     evaluate_workload,
     fit_linear,
+    generate_simulated_histogram,
     laplace_batch,
     mldp_publish,
     model_error_bound,
@@ -26,6 +30,10 @@ from mldp import (
 )
 from mldp.pipeline import training_workload_for
 from mldp.seeds import derive_seed
+
+GOLDEN_MODEL_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "golden_model_sha256.json").read_text()
+)
 
 ZERO_NOISE = dict(epsilon=math.inf, selection="singleton", learner="linear", ridge=0.0)
 
@@ -124,6 +132,28 @@ class TestPublish:
         assert (tmp_path / "published.json").read_bytes() == (
             tmp_path / "manual.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("name", list(GOLDEN_MODEL_SHA256))
+    def test_model_file_matches_golden_digest(self, tmp_path, name):
+        """Singleton and greedy_cover linear model files keep their bytes.
+
+        Keys read "<selection>/d=<d>/eps=<epsilon>".  Each digest is the
+        sha256 of the file save_model writes for mldp_publish(
+        generate_simulated_histogram(d, 1000, seed=7), MldpConfig(epsilon,
+        selection, seed=11)); the digests were written with the dense
+        normal-equation solve, so they also pin the closed-form singleton
+        fit to it, at any BLAS thread count.
+        """
+        selection, d, eps = name.split("/")
+        d, eps = int(d[2:]), float(eps[4:])
+        model = mldp_publish(
+            generate_simulated_histogram(d, 1000, seed=7),
+            MldpConfig(epsilon=eps, selection=selection, seed=11),
+            PrivacyBudget(eps),
+        )
+        save_model(model, tmp_path / "model.json")
+        digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_MODEL_SHA256[name]
 
     def test_random_m_uses_the_requested_pool(self, hist4):
         config = MldpConfig(epsilon=1.0, selection="random_m", m=6, pool="subsets", seed=0)

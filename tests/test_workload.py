@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from mldp import (
     Histogram,
     LinearQuery,
+    MldpConfig,
+    PrivacyBudget,
     Workload,
     all_range_queries,
     all_subset_queries,
@@ -21,12 +24,15 @@ from mldp import (
     evaluate,
     evaluate_workload,
     generate_simulated_histogram,
+    laplace_batch,
+    load_histogram_csv,
     load_workload_csv,
     mwem_publish,
     random_range_workload,
     range_query,
     save_workload_csv,
     select_training_set,
+    strategy_mechanism,
     workload_sensitivity,
 )
 from mldp.workload import pool_queries, range_workload
@@ -519,6 +525,33 @@ def test_non_integral_bounds_are_rejected(name):
     assert good() is not None  # Python and numpy integers still pass
 
 
+def _seeded_calls(seed, budget: PrivacyBudget) -> dict:
+    """Every entry point that seeds a generator, called with ``seed``."""
+    hist, ranges = Histogram([1, 2]), range_workload(2, [0], [1])
+    return {
+        "MldpConfig": lambda: MldpConfig(seed=seed),
+        "generate_simulated_histogram": lambda: generate_simulated_histogram(4, 10, seed),
+        "random_range_workload": lambda: random_range_workload(8, 2, seed),
+        "select_training_set": lambda: select_training_set(8, "random_m", m=2, seed=seed),
+        "laplace_batch": lambda: laplace_batch(ranges, hist, budget, 1.0, seed),
+        "mwem_publish": lambda: mwem_publish(ranges, hist, 1.0, 2, seed, budget=budget),
+        "strategy_mechanism": lambda: strategy_mechanism(
+            ranges, "identity", hist, 1.0, seed, budget=budget
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", sorted(_seeded_calls(0, None)))
+def test_non_integer_seeds_are_refused(entry, seed):
+    """A seed that is not an integer is refused before any charge, never coerced."""
+    budget = PrivacyBudget(1.0)
+    with pytest.raises(ValueError, match="seed"):
+        _seeded_calls(seed, budget)[entry]()
+    assert budget.ledger == ()
+    _seeded_calls(3, budget)[entry]()  # an integer seed passes
+
+
 GOLDEN_CSV_ERRORS = json.loads(
     (Path(__file__).parent / "data" / "golden_workload_csv_errors.json").read_text()
 )
@@ -549,6 +582,57 @@ def _mixed_workload(d: int, m: int, seed: int) -> Workload:
             coeffs[rng.random(d) < 0.2] = rng.choice([0.0, -0.0, 1.0, 5e-324, 2**-40])
             queries.append(LinearQuery(coeffs))
     return Workload(d, queries)
+
+
+def test_csv_round_trip_past_the_csv_field_limit(tmp_path):
+    """A range row over 40000 bins is 159999 characters, past csv's default 131072."""
+    w = range_workload(40000, [0, 5], [3, 39999])
+    p = tmp_path / "w.csv"
+    save_workload_csv(w, p)
+    limit = csv.field_size_limit()
+    again = load_workload_csv(p)
+    assert csv.field_size_limit() == limit
+    assert again == w
+    assert (again._lo, again._hi) == ((0, 5), (3, 39999))
+
+
+_CSV_LOADERS = {"workload": load_workload_csv, "histogram": load_histogram_csv}
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        ("workload", "kind,lo,hi,coeffs\nrange,0,0,1.0\x00\n"),
+        ("histogram", "label,count\nb0,1\x002\n"),
+    ],
+)
+def test_a_nul_byte_is_a_value_error_naming_the_path(tmp_path, loader, text):
+    """Python 3.10's csv refuses a NUL byte; later versions pass it to the field checks."""
+    p = tmp_path / "nul.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+        _CSV_LOADERS[loader](p)
+
+
+@pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
+def test_a_csv_error_is_a_value_error_naming_the_path(tmp_path, loader, monkeypatch):
+    class Refusing:
+        line_num = 2
+
+        def __init__(self, fh):
+            pass
+
+        def __iter__(self):
+            raise csv.Error("line contains NUL")
+
+    p = tmp_path / "w.csv"
+    p.write_text("kind,lo,hi,coeffs\n")
+    limit = csv.field_size_limit()
+    monkeypatch.setattr(csv, "reader", Refusing)
+    with pytest.raises(ValueError) as info:
+        _CSV_LOADERS[loader](p)
+    assert str(info.value) == f"{p}: line 2: line contains NUL"
+    assert csv.field_size_limit() == limit
 
 
 @pytest.mark.parametrize("d, m", [(1, 1), (1, 6), (5, 1), (16, 40), (64, 300)])
