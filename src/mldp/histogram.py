@@ -133,10 +133,12 @@ def _csv_rows(path: Path) -> list[list[str]]:
     A field may be as long as the file (a workload range row over d bins
     is 4d - 1 characters), so the process-wide csv field limit is raised
     to the file size for this read and restored after it.  A file the
-    csv module cannot read raises ValueError with the path and line.
+    csv module cannot read raises ValueError with the path and line, and
+    so does a NUL byte on every Python version (csv refuses it on 3.10
+    only; later versions would keep it as a character of a field).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_nul_free_lines(fh, path))
         limit = csv.field_size_limit()
         csv.field_size_limit(max(limit, min(os.fstat(fh.fileno()).st_size, 2**31 - 1)))
         try:
@@ -148,6 +150,14 @@ def _csv_rows(path: Path) -> list[list[str]]:
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
+
+
+def _nul_free_lines(fh, path: Path):
+    """The lines of fh as the csv reader takes them; ValueError at the first NUL byte."""
+    for n, line in enumerate(fh, start=1):
+        if "\0" in line:
+            raise ValueError(f"{path}: line {n}: line contains NUL")
+        yield line
 
 
 def _integer(value, name: str) -> int:

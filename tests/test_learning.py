@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 import tracemalloc
 from pathlib import Path
@@ -435,6 +436,50 @@ class TestPredict:
         model = fit_linear(singleton_training(hist4))
         zero_q = Workload(4, [LinearQuery([0.0, 0.0, 0.0, 0.0])])
         assert predict(model, zero_q)[0] == 0.0
+
+    @pytest.mark.parametrize("centers", [1, 7, 500])
+    @pytest.mark.parametrize("m", [1, 2, 511, 512, 513, 1025, 1537])
+    def test_rbf_answers_equal_the_whole_kernel_product(self, m, centers):
+        """The row blocks change no answer.
+
+        Bitwise at one BLAS thread.  At more threads the whole product
+        splits its rows between threads differently from the blocks, so
+        the last bits of such rows can move.
+        """
+        d = 32
+        model = PublishedModel(
+            kind="rbf",
+            d=d,
+            weights=np.random.default_rng(centers).normal(size=centers),
+            centers=random_range_workload(d, centers, seed=centers).matrix,
+            width_u=4.0,
+        )
+        queries = random_range_workload(d, m, seed=m)
+        got = predict(model, queries)
+        want = rbf_kernel(queries.matrix, model.centers, model.width_u) @ model.weights
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_rbf_memory_does_not_grow_with_queries_times_centers(self):
+        # The whole 10 000 x 500 kernel and its temporaries peak at about 76 MiB.
+        d = 256
+        model = PublishedModel(
+            kind="rbf",
+            d=d,
+            weights=np.random.default_rng(0).normal(size=500),
+            centers=random_range_workload(d, 500, seed=1).matrix,
+            width_u=10.0,
+        )
+        queries = random_range_workload(d, 10_000, seed=2)
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestModelFiles:
