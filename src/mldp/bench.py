@@ -19,7 +19,9 @@ import numpy as np
 
 from ._version import __version__
 from .histogram import Histogram, generate_simulated_histogram, load_histogram_csv
-from .learning import MODEL_KINDS, SELECTION_STRATEGIES, _check_int, predict
+from .learning import (
+    MODEL_KINDS, SELECTION_STRATEGIES, _check_fit_options, _check_int, _check_real, predict
+)
 from .mechanisms import PrivacyBudget, laplace_batch, mwem_publish, strategy_mechanism
 from .pipeline import MldpConfig, mldp_publish, training_workload_for
 from .seeds import derive_seed
@@ -164,6 +166,7 @@ class ExperimentConfig:
         else:
             if any(v < 1 or v != int(v) for v in self.grid):
                 raise ValueError(f"{self.sweep_variable} grid values must be integers >= 1")
+        _check_real(self.epsilon, "epsilon", "experiment config")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be finite and positive")
         if self.training_m < 1 or self.test_m < 1:
@@ -172,6 +175,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown selection {self.selection!r}")
         if self.learner not in MODEL_KINDS:
             raise ValueError(f"unknown learner {self.learner!r}")
+        _check_fit_options(self.learner, self.ridge, self.width_u, "experiment config")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         if self.trials < 1:
@@ -179,20 +183,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
+            **{name: getattr(self, name) for name in self.__dataclass_fields__},
             "dataset": self.dataset.to_dict(),
             "mechanisms": list(self.mechanisms),
-            "sweep_variable": self.sweep_variable,
             "grid": list(self.grid),
-            "epsilon": self.epsilon,
-            "training_m": self.training_m,
-            "test_m": self.test_m,
-            "selection": self.selection,
-            "learner": self.learner,
-            "ridge": self.ridge,
-            "width_u": self.width_u,
-            "rounds": self.rounds,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
         }
 
     @classmethod
@@ -231,14 +225,9 @@ class ReportRow:
 
     def to_dict(self) -> dict:
         return {
-            "mechanism": self.mechanism,
-            "grid_index": self.grid_index,
-            "grid_value": self.grid_value,
-            "mean_mae": self.mean_mae,
-            "std_mae": self.std_mae,
+            **{name: getattr(self, name) for name in self.__dataclass_fields__},
             "trial_seeds": list(self.trial_seeds),
             "trial_maes": list(self.trial_maes),
-            "train_test_overlap": self.train_test_overlap,
         }
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,6 +68,38 @@ def _check_int(value, field: str, config: str) -> None:
         raise ValueError(f"{config} field of the wrong type: {field}={value!r} is not an integer")
 
 
+def _check_real(value, field: str, config: str) -> None:
+    """Refuse, not coerce, a non-number (bool, str, None, ...) real field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{config} field of the wrong type: {field}={value!r} is not a number")
+
+
+def _check_fit_options(learner: str, ridge, width_u, config: str) -> None:
+    """Refuse a ridge or width_u the learner's fit would; None keeps the default."""
+    if ridge is not None:
+        _check_real(ridge, "ridge", config)
+        if not (ridge > 0 or (ridge == 0 and learner == "linear")):
+            rule = "non-negative" if learner == "linear" else "positive for the rbf learner"
+            raise ValueError(f"ridge must be {rule}, got {ridge!r}")
+    if width_u is not None:
+        _check_real(width_u, "width_u", config)
+        if not (width_u > 0 and math.isfinite(width_u)):
+            raise ValueError(f"width_u must be finite and positive, got {width_u!r}")
+
+
+def _json_floats(value, field: str, depth: int = 0):
+    """A model file's number (depth 0), list (1) or list of lists (2) of numbers, as floats.
+
+    A string, bool or null anywhere in it is refused, never converted.
+    """
+    items = [value]
+    for _ in range(depth):
+        items = list(chain.from_iterable(items))
+    if not {int, float}.issuperset(map(type, items)):
+        raise ValueError(f"{field} must hold only numbers")
+    return np.asarray(value, dtype=float) if depth else float(value)
+
+
 @dataclass(frozen=True)
 class ModelMeta:
     """Release provenance stored inside a published model."""
@@ -77,25 +111,25 @@ class ModelMeta:
     mu: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_consumed": self.epsilon_consumed,
-            "training_m": self.training_m,
-            "sensitivity": self.sensitivity,
-            "seed": self.seed,
-            "mu": self.mu,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelMeta":
         _check_int(data["training_m"], "training_m", "model meta")
         if data.get("seed") is not None:
             _check_int(data["seed"], "seed", "model meta")
+        epsilon = _json_floats(data["epsilon_consumed"], "epsilon_consumed")
+        sensitivity = _json_floats(data["sensitivity"], "sensitivity")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon_consumed must be positive, got {epsilon!r}")
+        if not sensitivity >= 0:
+            raise ValueError(f"sensitivity must be non-negative, got {sensitivity!r}")
         return cls(
-            epsilon_consumed=float(data["epsilon_consumed"]),
+            epsilon_consumed=epsilon,
             training_m=data["training_m"],
-            sensitivity=float(data["sensitivity"]),
+            sensitivity=sensitivity,
             seed=data.get("seed"),
-            mu=None if data.get("mu") is None else float(data["mu"]),
+            mu=None if data.get("mu") is None else _json_floats(data["mu"], "mu"),
         )
 
 
@@ -412,8 +446,11 @@ def save_model(model: PublishedModel, path) -> None:
 def load_model(path) -> PublishedModel:
     """Read a model written by :func:`save_model`, validating its shape.
 
-    Weights, centers and width must be finite; meta may record an
-    infinite epsilon_consumed from the noise-disabled mode.
+    Weights, centers, width and the meta floats must be JSON numbers (a
+    string or bool is refused, never converted).  Weights, centers and
+    width must be finite.  Meta's sensitivity must be non-negative and its
+    epsilon_consumed positive; it may be infinite, from the noise-disabled
+    mode.
     """
     with open(path) as fh:
         try:
@@ -436,9 +473,9 @@ def load_model(path) -> PublishedModel:
         model = PublishedModel(
             kind=kind,
             d=d,
-            weights=np.asarray(weights, dtype=float),
-            centers=None if centers is None else np.asarray(centers, dtype=float),
-            width_u=None if width_u is None else float(width_u),
+            weights=_json_floats(weights, "weights", 1),
+            centers=None if centers is None else _json_floats(centers, "centers", 2),
+            width_u=None if width_u is None else _json_floats(width_u, "width_u"),
             meta=None if meta is None else ModelMeta.from_dict(meta),
         )
     except (ValueError, TypeError, KeyError) as exc:

@@ -12,8 +12,6 @@ exactness properties; the command-line interface refuses it.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,8 +29,6 @@ __all__ = [
     "laplace_batch",
     "mwem_publish",
     "strategy_mechanism",
-    "clamp_nonnegative",
-    "save_noisy_answers",
 ]
 
 # Tikhonov term that keeps the strategy reconstruction well-posed.
@@ -125,7 +121,6 @@ class NoisyAnswerSet:
     sensitivity_used: float
     epsilon_used: float
     seed: int | None
-    mechanism: str = "laplace"
 
     def __post_init__(self):
         answers = np.array(self.answers, dtype=float)
@@ -166,11 +161,6 @@ def _check_epsilon(epsilon: float) -> float:
     if not epsilon > 0 or math.isnan(epsilon):
         raise ValueError("epsilon must be positive")
     return epsilon
-
-
-def clamp_nonnegative(answers: np.ndarray) -> np.ndarray:
-    """Post-processing that floors released answers at zero."""
-    return np.maximum(np.asarray(answers, dtype=float), 0.0)
 
 
 def laplace_batch(
@@ -417,30 +407,4 @@ def strategy_mechanism(
         sensitivity_used=measured.sensitivity_used,
         epsilon_used=epsilon,
         seed=seed,
-        mechanism=f"strategy-{strategy}",
     )
-
-
-def save_noisy_answers(result: NoisyAnswerSet, path) -> None:
-    """Write answers as (query_id, answer) CSV plus a JSON sidecar.
-
-    The sidecar ``<path minus extension>.meta.json`` records epsilon,
-    the sensitivity used, the seed, and the mechanism name.
-    """
-    from pathlib import Path
-
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "answer"])
-        for i, value in enumerate(result.answers):
-            writer.writerow([i, repr(float(value))])
-    meta = {
-        "epsilon": result.epsilon_used,
-        "sensitivity": result.sensitivity_used,
-        "seed": result.seed,
-        "mechanism": result.mechanism,
-    }
-    with open(path.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")

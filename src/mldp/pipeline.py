@@ -19,7 +19,9 @@ from .learning import (
     MODEL_KINDS,
     SELECTION_STRATEGIES,
     PublishedModel,
+    _check_fit_options,
     _check_int,
+    _check_real,
     fit_linear,
     fit_rbf,
     select_training_set,
@@ -36,7 +38,6 @@ __all__ = [
     "model_error_bound",
     "noise_error_bound",
     "total_error_bound",
-    "default_hypothesis_count",
 ]
 
 
@@ -46,8 +47,9 @@ class MldpConfig:
 
     selection picks the training workload ("singleton", "greedy_cover"
     or "random_m"; random_m also needs m).  learner is "linear" or
-    "rbf"; ridge defaults per learner and width_u defaults to the median
-    pairwise distance heuristic.  pool names the candidate pool that
+    "rbf"; ridge defaults per learner (a given ridge must be >= 0, and
+    > 0 for rbf) and width_u, finite and > 0 if given, defaults to the
+    median pairwise distance heuristic.  pool names the candidate pool that
     random_m draws from ("ranges" = all contiguous ranges, "subsets" =
     all non-empty subsets); greedy_cover over either pool is the
     singleton workload.  Two runs with equal config,
@@ -64,7 +66,8 @@ class MldpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0 or math.isnan(self.epsilon):
+        _check_real(self.epsilon, "epsilon", "publish config")
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.selection not in SELECTION_STRATEGIES:
             raise ValueError(
@@ -79,21 +82,13 @@ class MldpConfig:
             raise ValueError(
                 f"unknown learner {self.learner!r}; expected one of {MODEL_KINDS}"
             )
+        _check_fit_options(self.learner, self.ridge, self.width_u, "publish config")
         if self.pool not in _POOL_KINDS:
             raise ValueError(f"unknown pool {self.pool!r}; expected one of {_POOL_KINDS}")
         _check_int(self.seed, "seed", "publish config")
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "selection": self.selection,
-            "m": self.m,
-            "learner": self.learner,
-            "ridge": self.ridge,
-            "width_u": self.width_u,
-            "pool": self.pool,
-            "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MldpConfig":
@@ -227,10 +222,3 @@ def total_error_bound(p: BoundParameters) -> ErrorBound:
         alpha_noise=noise_error_bound(p),
         beta_total=2.0 * p.beta,
     )
-
-
-def default_hypothesis_count(d: int) -> float:
-    """Default model-class size proxy for a d-bin domain: 2^d."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return 2.0 ** d

@@ -21,7 +21,6 @@ __all__ = [
     "Workload",
     "range_query",
     "range_workload",
-    "evaluate",
     "evaluate_workload",
     "workload_sensitivity",
     "brute_force_sensitivity",
@@ -159,10 +158,6 @@ class Workload:
         return len(self._kinds)
 
     @property
-    def queries(self) -> tuple[LinearQuery, ...]:
-        return tuple(self)
-
-    @property
     def matrix(self) -> np.ndarray:
         """Read-only (m x d) coefficient matrix, one row per query."""
         return self._matrix
@@ -235,13 +230,6 @@ def range_query(lo: int, hi: int, d: int) -> LinearQuery:
     return range_workload(d, [lo], [hi])[0]
 
 
-def evaluate(query: LinearQuery, hist: Histogram) -> float:
-    """Exact (noise-free) answer of one query on a histogram."""
-    if query.d != hist.d:
-        raise ValueError(f"query has d={query.d}, histogram has d={hist.d}")
-    return float(query.coeffs @ hist.bins)
-
-
 def evaluate_workload(workload: Workload, hist: Histogram) -> np.ndarray:
     """Exact answers of every query in the workload, in workload order."""
     if workload.d != hist.d:
@@ -289,6 +277,7 @@ def brute_force_sensitivity(workload: Workload, hist: Histogram) -> float:
 
 def pool_size(d: int, pool: str) -> int:
     """Number of queries in a built-in pool over d bins; subsets needs d <= 20."""
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError("d must be at least 1")
     if pool == "ranges":

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mldp import Histogram, Workload, all_range_queries
+from mldp import Histogram, all_range_queries
+from mldp.workload import Workload
 
 settings.register_profile("deterministic", derandomize=True, max_examples=100, deadline=None)
 settings.load_profile("deterministic")

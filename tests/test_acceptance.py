@@ -14,31 +14,24 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from mldp import (
-    BoundParameters,
-    DatasetSpec,
-    ExperimentConfig,
-    Histogram,
-    LinearQuery,
-    MldpConfig,
+from mldp import Histogram, MldpConfig, PrivacyBudget, all_range_queries, mldp_publish, predict
+from mldp.bench import DatasetSpec, ExperimentConfig, run_sweep
+from mldp.learning import fit_linear
+from mldp.mechanisms import (
     NoisyAnswerSet,
-    PrivacyBudget,
+    laplace_batch,
+    laplace_sample,
+    mwem_publish,
+    strategy_mechanism,
+)
+from mldp.pipeline import BoundParameters, model_error_bound, noise_error_bound
+from mldp.workload import (
+    LinearQuery,
     Workload,
-    all_range_queries,
     all_subset_queries,
     brute_force_sensitivity,
     evaluate_workload,
-    fit_linear,
-    laplace_batch,
-    laplace_sample,
-    mldp_publish,
-    model_error_bound,
-    mwem_publish,
-    noise_error_bound,
-    predict,
     range_query,
-    run_sweep,
-    strategy_mechanism,
     workload_sensitivity,
 )
 

@@ -10,22 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mldp import (
+from mldp import MldpConfig, PrivacyBudget, mldp_publish
+from mldp.bench import (
     DatasetSpec,
     ExperimentConfig,
-    MldpConfig,
-    PrivacyBudget,
+    MECHANISMS,
     emit_report,
     mae,
-    mldp_publish,
+    _overlap_count,
     read_report_csv,
     run_sweep,
-    save_histogram_csv,
 )
-from mldp.bench import MECHANISMS, _overlap_count
+from mldp.histogram import save_histogram_csv
 from mldp.learning import SELECTION_STRATEGIES, select_training_set
-from mldp.workload import _POOL_KINDS as POOL_KINDS
-from mldp.workload import random_range_workload
+from mldp.workload import _POOL_KINDS as POOL_KINDS, random_range_workload
 
 SIM = DatasetSpec(d=16, max_count=100, seed=11)
 
@@ -137,6 +135,25 @@ class TestExperimentConfig:
             small_config(rounds=0)
         with pytest.raises(ValueError, match="trials"):
             small_config(trials=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"epsilon": True}, "epsilon"),
+            ({"epsilon": "1"}, "epsilon"),
+            ({"ridge": -1.0}, "ridge"),
+            ({"ridge": "0.5"}, "ridge"),
+            ({"ridge": float("nan")}, "ridge"),
+            ({"learner": "rbf", "ridge": 0.0}, "ridge"),
+            ({"width_u": 0.0}, "width_u"),
+            ({"width_u": float("inf")}, "width_u"),
+            ({"width_u": True}, "width_u"),
+        ],
+        ids=lambda v: ",".join(f"{k}={x!r}" for k, x in v.items()) if isinstance(v, dict) else v,
+    )
+    def test_rejects_bad_fit_numbers(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            small_config(**fields)
 
     @pytest.mark.parametrize("field", ["training_m", "test_m", "rounds", "trials", "base_seed"])
     def test_rejects_non_integer_counts(self, field):

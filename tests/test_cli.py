@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from mldp import all_range_queries, read_report_csv, save_histogram_csv, save_workload_csv
+from mldp import all_range_queries, save_workload_csv
+from mldp.bench import read_report_csv
 from mldp.cli import main
+from mldp.histogram import save_histogram_csv
 
 
 @pytest.fixture
@@ -68,7 +70,9 @@ class TestPublishAnswer:
     def test_answer_prints_library_predict_byte_for_byte(
         self, capsys, tmp_path, hist_csv, learner
     ):
-        from mldp import LinearQuery, Workload, load_model, load_workload_csv, predict
+        from mldp import predict
+        from mldp.learning import load_model
+        from mldp.workload import LinearQuery, Workload, load_workload_csv
 
         queries = list(all_range_queries(4)) + [
             LinearQuery([1.0, 0.0, 1.0, 1.0], kind="subset"),
@@ -168,10 +172,32 @@ class TestPublishAnswer:
         assert "error: publish config field of the wrong type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"ridge": -1},
+            {"ridge": "0.5"},
+            {"epsilon": True},
+            {"width_u": 0},
+            {"learner": "rbf", "ridge": 0},
+        ],
+        ids=["negative-ridge", "string-ridge", "bool-epsilon", "zero-width", "rbf-zero-ridge"],
+    )
+    def test_publish_refuses_bad_fit_numbers_and_writes_nothing(
+        self, capsys, tmp_path, hist_csv, field
+    ):
+        out = tmp_path / "m.json"
+        config = publish_config(tmp_path, **field)
+        assert main(["publish", hist_csv, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and list(field)[-1] in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_answer_rejects_dimension_mismatch(
         self, capsys, tmp_path, hist_csv, workload_csv
     ):
-        from mldp import Workload, range_query
+        from mldp.workload import Workload, range_query
 
         model_path = str(tmp_path / "model.json")
         main(["publish", hist_csv, "--config", publish_config(tmp_path), "--out", model_path])

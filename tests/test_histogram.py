@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mldp import (
-    Histogram,
+from mldp import Histogram
+from mldp.histogram import (
     generate_simulated_histogram,
     load_histogram_csv,
     neighbor,

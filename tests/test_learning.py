@@ -12,29 +12,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mldp import (
-    Histogram,
-    LinearQuery,
+from mldp import Histogram, PrivacyBudget, predict, random_range_workload
+from mldp.histogram import generate_simulated_histogram
+from mldp.learning import (
+    DEFAULT_LINEAR_RIDGE,
     ModelMeta,
-    NoisyAnswerSet,
-    PrivacyBudget,
     PublishedModel,
-    Workload,
+    _dyadic_bounds,
     fit_linear,
     fit_rbf,
-    generate_simulated_histogram,
-    laplace_batch,
     load_model,
     median_pairwise_distance,
-    predict,
-    random_range_workload,
-    range_query,
     rbf_kernel,
     save_model,
     select_training_set,
 )
-from mldp.learning import DEFAULT_LINEAR_RIDGE, _dyadic_bounds
-from mldp.workload import range_workload
+from mldp.mechanisms import NoisyAnswerSet, laplace_batch
+from mldp.workload import LinearQuery, Workload, range_query, range_workload
 
 TABLE_WEIGHTS = np.array([12.0, 24.0, 6.0, 7.0])
 
@@ -166,12 +160,12 @@ class TestSelection:
         assert a == b
         assert a != c
         assert a.m == 25
-        pool_queries = set(ranges4.queries)
+        pool_queries = set(ranges4)
         assert all(q in pool_queries for q in a)
 
     def test_random_m_samples_with_replacement(self):
         w = select_training_set(4, "random_m", m=50, seed=0)
-        assert len(set(w.queries)) < 50  # pigeonhole: pool has only 10
+        assert len(set(w)) < 50  # pigeonhole: pool has only 10
 
     def test_random_m_requires_m(self):
         with pytest.raises(ValueError, match="m >= 1"):
@@ -233,7 +227,7 @@ class TestFitLinear:
         np.testing.assert_allclose(model.weights[1:], TABLE_WEIGHTS, atol=1e-9)
 
     def test_zero_noise_model_answers_all_subsets_exactly(self, hist4):
-        from mldp import all_subset_queries, evaluate_workload
+        from mldp.workload import all_subset_queries, evaluate_workload
 
         model = fit_linear(singleton_training(hist4), ridge=0.0)
         subsets = all_subset_queries(4)
@@ -572,6 +566,14 @@ class TestModelFiles:
             '{"kind": "linear", "d": 2.0, "weights": [0.0, 1.0, 2.0]}',
             '{"kind": "linear", "d": "2", "weights": [0.0, 1.0, 2.0]}',
             '{"kind": "linear", "d": true, "weights": [0.0, 1.0]}',
+            # Numbers are read as JSON numbers, never converted from a string or bool.
+            '{"kind": "linear", "d": 4, "weights": ["0", "1", "2", "3", "4"]}',
+            '{"kind": "linear", "d": 4, "weights": [true, false, true, false, true]}',
+            '{"kind": "linear", "d": 2, "weights": [0.0, 1.0, true]}',
+            '{"kind": "rbf", "d": 2, "weights": [1.0], "centers": [["1", 0.0]], "width_u": 1.0}',
+            '{"kind": "rbf", "d": 2, "weights": [1.0], "centers": [[true, 0.0]], "width_u": 1.0}',
+            '{"kind": "rbf", "d": 2, "weights": [1.0], "centers": [[1.0, 0.0]], "width_u": "1"}',
+            '{"kind": "rbf", "d": 2, "weights": [1.0], "centers": [[1.0, 0.0]], "width_u": true}',
             *(
                 '{"kind": "linear", "d": 1, "weights": [0.0, 1.0], "meta": '
                 '{"epsilon_consumed": 1.0, "sensitivity": 1.0, %s}}' % fields
@@ -582,6 +584,24 @@ class TestModelFiles:
                     '"training_m": 2, "seed": "7"',
                     '"training_m": 2, "seed": 7.0',
                     '"training_m": 2, "seed": false',
+                    '"training_m": 2, "mu": "0.5"',
+                    '"training_m": 2, "mu": true',
+                )
+            ),
+            *(
+                '{"kind": "linear", "d": 1, "weights": [0.0, 1.0], "meta": '
+                '{"training_m": 2, "seed": 7, %s}}' % fields
+                for fields in (
+                    '"epsilon_consumed": 1.0, "sensitivity": "2"',
+                    '"epsilon_consumed": 1.0, "sensitivity": true',
+                    '"epsilon_consumed": 1.0, "sensitivity": -1.0',
+                    '"epsilon_consumed": 1.0, "sensitivity": NaN',
+                    '"epsilon_consumed": "1.0", "sensitivity": 1.0',
+                    '"epsilon_consumed": true, "sensitivity": 1.0',
+                    '"epsilon_consumed": -1, "sensitivity": 1.0',
+                    '"epsilon_consumed": 0, "sensitivity": 1.0',
+                    '"epsilon_consumed": -Infinity, "sensitivity": 1.0',
+                    '"epsilon_consumed": NaN, "sensitivity": 1.0',
                 )
             ),
         ],

@@ -11,24 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mldp import (
+from mldp import MldpConfig, PrivacyBudget, mldp_publish, predict
+from mldp.histogram import generate_simulated_histogram
+from mldp.learning import fit_linear, save_model
+from mldp.mechanisms import InsufficientBudgetError, laplace_batch
+from mldp.pipeline import (
     BoundParameters,
-    InsufficientBudgetError,
-    MldpConfig,
-    PrivacyBudget,
-    default_hypothesis_count,
-    evaluate_workload,
-    fit_linear,
-    generate_simulated_histogram,
-    laplace_batch,
-    mldp_publish,
     model_error_bound,
     noise_error_bound,
-    predict,
-    save_model,
     total_error_bound,
+    training_workload_for,
 )
-from mldp.pipeline import training_workload_for
 from mldp.seeds import derive_seed
 
 GOLDEN_MODEL_SHA256 = json.loads(
@@ -36,6 +29,22 @@ GOLDEN_MODEL_SHA256 = json.loads(
 )
 
 ZERO_NOISE = dict(epsilon=math.inf, selection="singleton", learner="linear", ridge=0.0)
+
+# Publish-config numbers a fit would refuse, and the field each error names.
+BAD_FIT_NUMBERS = [
+    ({"epsilon": True}, "epsilon"),
+    ({"epsilon": "1.0"}, "epsilon"),
+    ({"ridge": -1.0}, "ridge"),
+    ({"ridge": "abc"}, "ridge"),
+    ({"ridge": True}, "ridge"),
+    ({"ridge": math.nan}, "ridge"),
+    ({"learner": "rbf", "ridge": 0.0}, "ridge"),
+    ({"width_u": -1.0}, "width_u"),
+    ({"width_u": 0}, "width_u"),
+    ({"width_u": math.inf}, "width_u"),
+    ({"width_u": math.nan}, "width_u"),
+    ({"width_u": "1.5"}, "width_u"),
+]
 
 
 class TestConfig:
@@ -72,6 +81,29 @@ class TestConfig:
             MldpConfig(learner="tree")
         with pytest.raises(ValueError, match="pool"):
             MldpConfig(pool="wavelets")
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        BAD_FIT_NUMBERS,
+        ids=[",".join(f"{k}={v!r}" for k, v in f.items()) for f, _ in BAD_FIT_NUMBERS],
+    )
+    def test_bad_numbers_are_refused_before_any_charge(self, hist4, fields, name):
+        budget = PrivacyBudget(1.0)
+        with pytest.raises(ValueError, match=name):
+            mldp_publish(hist4, MldpConfig(**fields), budget)
+        with pytest.raises(ValueError, match=name):
+            MldpConfig.from_dict(fields)
+        assert budget.ledger == ()
+
+    def test_numbers_every_fit_takes_are_accepted(self, hist4):
+        for fields in (
+            {"epsilon": math.inf, "ridge": 0},
+            {"epsilon": 2, "ridge": 0.0},
+            {"learner": "rbf", "ridge": 1e-3, "width_u": 2, "selection": "random_m", "m": 5},
+        ):
+            budget = PrivacyBudget(fields.get("epsilon", 1.0))
+            mldp_publish(hist4, MldpConfig(**fields), budget)
+            assert len(budget.ledger) == 1
 
 
 class TestPublish:
@@ -306,8 +338,3 @@ class TestBounds:
             BoundParameters(**good, sensitivity=-2.0)
         with pytest.raises(ValueError, match="epsilon"):
             BoundParameters(**good, epsilon=0.0)
-
-    def test_default_hypothesis_count(self):
-        assert default_hypothesis_count(10) == 1024.0
-        with pytest.raises(ValueError):
-            default_hypothesis_count(0)

@@ -13,28 +13,28 @@ from hypothesis import strategies as st
 
 from mldp import (
     Histogram,
-    LinearQuery,
     MldpConfig,
     PrivacyBudget,
-    Workload,
     all_range_queries,
+    random_range_workload,
+    save_workload_csv,
+)
+from mldp.histogram import generate_simulated_histogram, load_histogram_csv
+from mldp.learning import select_training_set
+from mldp.mechanisms import laplace_batch, mwem_publish, strategy_mechanism
+from mldp.workload import (
+    LinearQuery,
+    Workload,
     all_subset_queries,
     brute_force_sensitivity,
-    evaluate,
     evaluate_workload,
-    generate_simulated_histogram,
-    laplace_batch,
-    load_histogram_csv,
     load_workload_csv,
-    mwem_publish,
-    random_range_workload,
+    pool_queries,
+    pool_size,
     range_query,
-    save_workload_csv,
-    select_training_set,
-    strategy_mechanism,
+    range_workload,
     workload_sensitivity,
 )
-from mldp.workload import pool_queries, range_workload
 
 
 class TestLinearQuery:
@@ -129,7 +129,6 @@ class TestWorkload:
             Workload(0, [])
 
     def test_rows_are_validated_query_views(self, ranges4):
-        assert ranges4.queries == tuple(ranges4)
         assert ranges4[-1] == range_query(3, 3, 4)
         assert (ranges4[-1].lo, ranges4[-1].hi) == (3, 3)
         subsets = all_subset_queries(2)
@@ -169,9 +168,12 @@ class TestWorkload:
 
 class TestEvaluate:
     def test_single_queries(self, hist4):
-        assert evaluate(range_query(0, 3, 4), hist4) == 49.0
-        assert evaluate(range_query(0, 0, 4), hist4) == 12.0
-        assert evaluate(LinearQuery([1.0, -1.0, 0.0, 0.0]), hist4) == -12.0
+        for query, answer in [
+            (range_query(0, 3, 4), 49.0),
+            (range_query(0, 0, 4), 12.0),
+            (LinearQuery([1.0, -1.0, 0.0, 0.0]), -12.0),
+        ]:
+            np.testing.assert_array_equal(evaluate_workload(Workload(4, [query]), hist4), [answer])
 
     def test_workload_answers(self, hist4, ranges4, ranges4_answers):
         np.testing.assert_array_equal(evaluate_workload(ranges4, hist4), ranges4_answers)
@@ -184,7 +186,7 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self, hist4):
         with pytest.raises(ValueError, match="d=3"):
-            evaluate(LinearQuery([1.0, 0.0, 0.0]), hist4)
+            evaluate_workload(Workload(3, [LinearQuery([1.0, 0.0, 0.0])]), hist4)
         with pytest.raises(ValueError, match="d=3"):
             evaluate_workload(all_range_queries(3), hist4)
 
@@ -501,6 +503,14 @@ _NON_INTEGRAL_CALLS = {
         lambda: generate_simulated_histogram(4, 10.5, 0),
         lambda: generate_simulated_histogram(4, np.uint8(10), 0),
     ),
+    "pool_size-float": (
+        "d",
+        lambda: pool_size(2.5, "ranges"),
+        lambda: pool_size(np.int64(3), "ranges"),
+    ),
+    "pool_size-bool": ("d", lambda: pool_size(True, "subsets"), lambda: pool_size(1, "subsets")),
+    "all_subset_queries-d": ("d", lambda: all_subset_queries(4.0), lambda: all_subset_queries(4)),
+    "all_range_queries-d": ("d", lambda: all_range_queries(3.0), lambda: all_range_queries(3)),
     "mwem_publish-rounds": (
         "rounds",
         lambda: mwem_publish(range_workload(2, [0], [1]), Histogram([1, 2]), 1.0, 2.5, seed=0),
