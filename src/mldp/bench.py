@@ -147,6 +147,8 @@ class ExperimentConfig:
         for key in ("training_m", "test_m", "rounds", "trials", "base_seed"):
             _check_int(getattr(self, key), key, "experiment config")
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
+        for v in self.grid:
+            _check_real(v, "grid", "experiment config")
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         if not self.mechanisms:
             raise ValueError("mechanisms must not be empty")

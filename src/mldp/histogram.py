@@ -11,7 +11,9 @@ carry fractional mass; CSV ingestion accepts non-negative integers only.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import os
 import re
 from pathlib import Path
@@ -100,56 +102,73 @@ def load_histogram_csv(path) -> Histogram:
     with its data-row index (the first row after the header is row 1).
     """
     path = Path(path)
-    rows = _csv_rows(path)
-    header = tuple(c.strip().lower() for c in rows[0])
-    if header != _HEADER:
-        raise ValueError(
-            f"{path}: expected header 'label,count', got {','.join(rows[0])!r}"
-        )
     labels: list[str] = []
     counts: list[int] = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
-        raw = row[1].strip()
-        try:
-            count = _csv_int(raw)
-        except ValueError:
+    with contextlib.closing(_csv_rows(path)) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if tuple(c.strip().lower() for c in header) != _HEADER:
             raise ValueError(
-                f"{path}: row {i}: count {raw!r} is not an integer"
-            ) from None
-        if count < 0:
-            raise ValueError(f"{path}: row {i}: negative count {count}")
-        labels.append(row[0])
-        counts.append(count)
+                f"{path}: expected header 'label,count', got {','.join(header)!r}"
+            )
+        for i, row in enumerate(rows, start=1):
+            if len(row) != 2:
+                raise ValueError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
+            raw = row[1].strip()
+            try:
+                count = _csv_int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {i}: count {raw!r} is not an integer"
+                ) from None
+            if count < 0:
+                raise ValueError(f"{path}: row {i}: negative count {count}")
+            labels.append(row[0])
+            counts.append(count)
     if not counts:
         raise ValueError(f"{path}: no data rows")
     return Histogram(counts, labels)
 
 
-def _csv_rows(path: Path) -> list[list[str]]:
-    """The non-empty rows of a CSV file; ValueError naming the path if there are none.
+def _csv_rows(path: Path):
+    """The non-empty rows of a CSV file, one at a time, as the csv module reads them.
 
-    A field may be as long as the file (a workload range row over d bins
-    is 4d - 1 characters), so the process-wide csv field limit is raised
-    to the file size for this read and restored after it.  A file the
-    csv module cannot read raises ValueError with the path and line, and
-    so does a NUL byte on every Python version (csv refuses it on 3.10
+    One line is held at a time.  A line with no ``"`` is split on
+    commas once its line terminator is stripped; under the default
+    dialect, and with the file opened with ``newline=""``, that is
+    exactly the row csv.reader gives, and an empty line gives none.
+    From the first line that holds a ``"`` on, the csv module reads the
+    rest of the file, since a quoted field may hold commas and line
+    breaks.  A field may be as long as the file (a workload range row
+    over d bins is 4d - 1 characters), so the process-wide csv field
+    limit is raised to the file size while the csv module reads, and
+    restored when the generator ends or is closed.  A file the csv
+    module cannot read raises ValueError with the path and line, and so
+    does a NUL byte on every Python version (csv refuses it on 3.10
     only; later versions would keep it as a character of a field).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(_nul_free_lines(fh, path))
+        lines = _nul_free_lines(fh, path)
+        for n, line in enumerate(lines, start=1):
+            if '"' in line:
+                break
+            text = line.rstrip("\r\n")
+            if text:
+                yield text.split(",")
+        else:
+            return
+        reader = csv.reader(itertools.chain([line], lines))
         limit = csv.field_size_limit()
         csv.field_size_limit(max(limit, min(os.fstat(fh.fileno()).st_size, 2**31 - 1)))
         try:
-            rows = [r for r in reader if r]
+            for row in reader:
+                if row:
+                    yield row
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {n - 1 + reader.line_num}: {exc}") from None
         finally:
             csv.field_size_limit(limit)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    return rows
 
 
 def _nul_free_lines(fh, path: Path):

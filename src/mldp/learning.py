@@ -253,9 +253,8 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     solved in closed form with no matrix formed (see
     :func:`_strategy_estimate`); any other workload forms F^T F.
     """
+    _check_fit_options("linear", ridge, None, "fit_linear")
     ridge = float(ridge)
-    if ridge < 0 or math.isnan(ridge):
-        raise ValueError("ridge must be non-negative")
     meta = _release_meta(training)
     features = training.workload.matrix
     targets = training.answers
@@ -377,16 +376,13 @@ def fit_rbf(
     distance between the rows.  The mean of the training answers is kept
     in the model metadata as mu.
     """
+    _check_fit_options("rbf", ridge, width_u, "fit_rbf")
     ridge = float(ridge)
-    if not ridge > 0 or math.isnan(ridge):
-        raise ValueError("ridge must be positive for the kernel fit")
     meta = _release_meta(training, with_mu=True)
     features = training.workload.matrix
     if width_u is None:
         width_u = median_pairwise_distance(features)
     width_u = float(width_u)
-    if not width_u > 0 or math.isnan(width_u):
-        raise ValueError("width_u must be positive")
     kernel = rbf_kernel(features, features, width_u)
     alpha = np.linalg.solve(kernel + ridge * np.eye(training.workload.m), training.answers)
     return PublishedModel(

@@ -9,6 +9,7 @@ perturbs the full answer vector by exactly one (signed) column.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from pathlib import Path
 
@@ -385,25 +386,27 @@ def load_workload_csv(path) -> Workload:
     indicator.  A bad file is reported at its first bad row.
     """
     path = Path(path)
-    rows = _csv_rows(path)
-    header = tuple(c.strip().lower() for c in rows[0])
-    if header != ("kind", "lo", "hi", "coeffs"):
-        raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
     d = None
     kinds, lo, hi, parsed = [], [], [], {}
-    for i, row in enumerate(rows[1:]):
-        try:
-            kind, a, b, width, coeffs = _read_row(row, d)
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i + 1}: {exc}") from None
-        d = width
-        kinds.append(kind)
-        lo.append(a)
-        hi.append(b)
-        if kind != "range":
-            parsed[i] = coeffs
+    with contextlib.closing(_csv_rows(path)) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if tuple(c.strip().lower() for c in header) != ("kind", "lo", "hi", "coeffs"):
+            raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
+        for i, row in enumerate(rows):
+            try:
+                kind, a, b, width, coeffs = _read_row(row, d)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i + 1}: {exc}") from None
+            d = width
+            kinds.append(kind)
+            lo.append(a)
+            hi.append(b)
+            if kind != "range":
+                parsed[i] = coeffs
+    if d is None:
+        raise ValueError(f"{path}: no data rows")
     # A range row is its indicator; every other row has no bounds and
     # gets the empty range [0, -1], then its coefficients.
     matrix = _range_indicators(

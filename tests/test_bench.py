@@ -155,6 +155,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=name):
             small_config(**fields)
 
+    @pytest.mark.parametrize(
+        "grid, bad", [(["0.5", 1.0], "'0.5'"), ([0.5, True], "True"), ([0.5, None], "None")]
+    )
+    def test_from_dict_refuses_grid_values_that_are_not_numbers(self, grid, bad):
+        data = {**small_config(sweep_variable="epsilon", grid=(0.5,)).to_dict(), "grid": grid}
+        with pytest.raises(ValueError, match=f"wrong type: grid={bad} is not a number"):
+            ExperimentConfig.from_dict(data)
+
     @pytest.mark.parametrize("field", ["training_m", "test_m", "rounds", "trials", "base_seed"])
     def test_rejects_non_integer_counts(self, field):
         with pytest.raises(ValueError, match=f"wrong type: {field}=2.5 is not an integer"):

@@ -298,6 +298,8 @@ class TestBench:
             {"grid": None},
             {"trials": 2.9},
             {"dataset": {"simulated": {"d": True, "max_count": 50, "seed": 3}}},
+            {"grid": ["10", 25]},
+            {"grid": [True]},
         ],
     )
     def test_rejects_config_fields_of_the_wrong_type(self, capsys, tmp_path, field):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mldp import Histogram
 from mldp.histogram import (
+    _csv_rows,
     generate_simulated_histogram,
     load_histogram_csv,
     neighbor,
@@ -142,6 +147,32 @@ class TestCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_histogram_csv(tmp_path / "nope.csv")
+
+
+def _csv_module_rows(path):
+    """The reference: every non-empty row csv.reader gives for the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [r for r in reader if r]
+        except csv.Error as exc:
+            return f"{path}: line {reader.line_num}: {exc}"
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet=',"\r\n aZ09', max_size=40))
+def test_csv_rows_match_the_csv_module(tmp_path_factory, text):
+    """Quote-free lines are split on commas; the rest is csv's, line endings included."""
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    with open(p, "w", newline="") as fh:
+        fh.write(text)
+    limit = csv.field_size_limit()
+    try:
+        rows = list(_csv_rows(p))
+    except ValueError as exc:
+        rows = str(exc)
+    assert rows == _csv_module_rows(p)
+    assert csv.field_size_limit() == limit
 
 
 class TestSimulated:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import statistics
 import tracemalloc
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from mldp import Histogram, PrivacyBudget, predict, random_range_workload
+from mldp import learning
 from mldp.histogram import generate_simulated_histogram
 from mldp.learning import (
     DEFAULT_LINEAR_RIDGE,
@@ -288,6 +290,11 @@ class TestFitLinear:
         with pytest.raises(ValueError, match="at least one"):
             fit_linear(empty)
 
+    @pytest.mark.parametrize("ridge", ["0.5", True])
+    def test_refuses_a_string_or_bool_ridge(self, hist4, ridge):
+        with pytest.raises(ValueError, match=f"ridge={ridge!r} is not a number"):
+            fit_linear(singleton_training(hist4), ridge=ridge)
+
     @pytest.mark.parametrize("name", sorted(NEAR_STRATEGY_BOUNDS))
     def test_near_strategy_ranges_take_the_dense_solve(self, name, monkeypatch):
         """Only exact singleton or dyadic-tree bounds take a closed form.
@@ -409,6 +416,26 @@ class TestFitRbf:
             fit_rbf(t, ridge=0.0)
         with pytest.raises(ValueError, match="width_u"):
             fit_rbf(t, width_u=-1.0)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"width_u": math.inf}, "width_u must be finite and positive, got inf"),
+            ({"width_u": math.nan}, "width_u must be finite and positive, got nan"),
+            ({"width_u": "2.0"}, "width_u='2.0' is not a number"),
+            ({"ridge": "0.5"}, "ridge='0.5' is not a number"),
+            ({"ridge": True}, "ridge=True is not a number"),
+        ],
+        ids=["inf-width", "nan-width", "string-width", "string-ridge", "bool-ridge"],
+    )
+    def test_refuses_bad_numbers_before_any_kernel(self, ranges4, monkeypatch, options, message):
+        """An infinite width_u would fit a model save_model writes and load_model refuses."""
+        t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
+        kernels = []
+        monkeypatch.setattr(learning, "rbf_kernel", lambda *args: kernels.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_rbf(t, **options)
+        assert kernels == []
 
     def test_rejects_an_empty_release(self):
         empty = NoisyAnswerSet(Workload(3, []), np.zeros(0), 1.0, 1.0, seed=None)

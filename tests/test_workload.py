@@ -593,11 +593,19 @@ def _mixed_workload(d: int, m: int, seed: int) -> Workload:
     return Workload(d, queries)
 
 
-def test_csv_round_trip_past_the_csv_field_limit(tmp_path):
-    """A range row over 40000 bins is 159999 characters, past csv's default 131072."""
+@pytest.mark.parametrize("quoted", [False, True])
+def test_csv_round_trip_past_the_csv_field_limit(tmp_path, quoted):
+    """A range row over 40000 bins is 159999 characters, past csv's default 131072.
+
+    With every field quoted, the csv module reads the long fields.
+    """
     w = range_workload(40000, [0, 5], [3, 39999])
     p = tmp_path / "w.csv"
     save_workload_csv(w, p)
+    if quoted:
+        rows = [line.split(",") for line in p.read_text().splitlines()]
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
     limit = csv.field_size_limit()
     again = load_workload_csv(p)
     assert csv.field_size_limit() == limit
@@ -627,25 +635,56 @@ def test_a_nul_byte_is_a_value_error_naming_the_path(tmp_path, loader, text):
     assert str(info.value) == f"{p}: line {line}: line contains NUL"
 
 
-@pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
-def test_a_csv_error_is_a_value_error_naming_the_path(tmp_path, loader, monkeypatch):
-    class Refusing:
-        line_num = 2
+# loader: its header, a valid data row, and the same row with its first field quoted
+_CSV_HEADER_AND_ROW = {
+    "workload": ("kind,lo,hi,coeffs", "range,0,0,1.0", '"range",0,0,1.0'),
+    "histogram": ("label,count", "b0,1", '"b0",1'),
+}
 
-        def __init__(self, fh):
-            pass
+
+@pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
+@pytest.mark.parametrize("plain, line", [(0, 2), (1, 4)])
+def test_a_csv_error_is_a_value_error_naming_the_path(tmp_path, loader, plain, line, monkeypatch):
+    """The csv module reads from the first quoted line on; its error names the file's line.
+
+    With plain = 1 the first quote is on line 3 and the reader fails
+    after two lines, on line 4 of the file.
+    """
+
+    class Refusing:
+        def __init__(self, lines):
+            self.lines = lines
+            self.line_num = 0
 
         def __iter__(self):
+            for _ in self.lines:
+                self.line_num += 1
             raise csv.Error("line contains NUL")
 
+    header, row, quoted = _CSV_HEADER_AND_ROW[loader]
     p = tmp_path / "w.csv"
-    p.write_text("kind,lo,hi,coeffs\n")
+    p.write_text("\n".join([header, *[row] * plain, quoted, *[row] * plain]) + "\n")
     limit = csv.field_size_limit()
     monkeypatch.setattr(csv, "reader", Refusing)
     with pytest.raises(ValueError) as info:
         _CSV_LOADERS[loader](p)
-    assert str(info.value) == f"{p}: line 2: line contains NUL"
+    assert str(info.value) == f"{p}: line {line}: line contains NUL"
     assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
+def test_a_bad_row_the_csv_module_read_restores_the_field_limit(tmp_path, loader):
+    header, row, quoted = _CSV_HEADER_AND_ROW[loader]
+    p = tmp_path / "w.csv"
+    # Past the default limit of 131072, so that reading raises it.
+    p.write_text(f"{header}\n{quoted}\nx\n" + f"{row}\n" * 40000)
+    limit = csv.field_size_limit()
+    assert p.stat().st_size > limit
+    with pytest.raises(ValueError) as info:
+        _CSV_LOADERS[loader](p)
+    # Restored while the error, and so the loader's frame, is still held.
+    assert csv.field_size_limit() == limit
+    assert "row 2: expected" in str(info.value)
 
 
 @pytest.mark.parametrize("d, m", [(1, 1), (1, 6), (5, 1), (16, 40), (64, 300)])
