@@ -165,9 +165,8 @@ class ExperimentConfig:
         if self.sweep_variable == "epsilon":
             if any(not (v > 0 and math.isfinite(v)) for v in self.grid):
                 raise ValueError("epsilon grid values must be finite and positive")
-        else:
-            if any(v < 1 or v != int(v) for v in self.grid):
-                raise ValueError(f"{self.sweep_variable} grid values must be integers >= 1")
+        elif any(not (math.isfinite(v) and v >= 1 and v == int(v)) for v in self.grid):
+            raise ValueError(f"{self.sweep_variable} grid values must be finite integers >= 1")
         _check_real(self.epsilon, "epsilon", "experiment config")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be finite and positive")

@@ -241,7 +241,11 @@ def mwem_publish(
     so a step rescales only its query's support (exp(0) = 1 elsewhere)
     and updates a running sum of ``u``; ``u`` is rescaled to the true
     total at the start of every pass, and the bins are formed once per
-    round (see :func:`_mw_replay`).  The refit only post-processes
+    round (see :func:`_mw_replay`).  While every measured query is a
+    range, the endpoints of the measured ranges cut the domain into at
+    most 2t + 1 cells after t rounds, every bin of a cell moves by the
+    same factor, and the refit steps one sum per cell instead of the
+    bins (see :func:`_mw_replay_cells`).  The refit only post-processes
     released measurements.  Returns the final synthetic histogram and
     its answers to the workload.
 
@@ -328,7 +332,13 @@ def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.
     drift out of the float range.  A step that would move the mass by
     more than a factor of two rescales the same way, since its running
     sum would cancel badly.
+
+    A history of ranges only is refit on cells instead of bins (see
+    :func:`_mw_replay_cells`); a subset or general row can cut the
+    domain into as many cells as bins, and keeps the per-bin steps.
     """
+    if all(coeffs is None for _, coeffs, _ in history):
+        return _mw_replay_cells(weights, total, history, mw_iters)
     # Views of ranges stay valid because every update writes in place.
     steps = [
         (weights[support] if coeffs is None else support, coeffs, value)
@@ -357,6 +367,62 @@ def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.
                 weights *= total / weights.sum()
                 mass = total
     return weights * (total / weights.sum())
+
+
+def _mw_replay_cells(weights: np.ndarray, total: float, history, mw_iters: int) -> np.ndarray:
+    """:func:`_mw_replay` for a history of ranges, one float per cell.
+
+    The measured ranges' endpoints ``lo`` and ``hi + 1``, with 0 and d,
+    cut the domain into cells; t ranges give at most 2t + 1 of them.
+    Every range covers whole cells, so every bin of a cell gets the same
+    factor at every step, and the refit runs on the cells' sums of
+    weights with the same steps, running mass and rescales as the
+    per-bin refit.  At the end each bin is scaled by its cell's final
+    sum over its initial sum; a cell whose initial sum is 0 holds only
+    zero bins, which no factor changes.  Sums add in a plain loop, in
+    order, so the result does not depend on how the Python version
+    sums floats.
+    """
+    cuts = {0, weights.size}
+    for support, _, _ in history:
+        cuts.add(support.start)
+        cuts.add(support.stop)
+    cuts = sorted(cuts)
+    cell = {cut: k for k, cut in enumerate(cuts)}
+    steps = [(cell[support.start], cell[support.stop], value) for support, _, value in history]
+    initial = np.add.reduceat(weights, cuts[:-1])
+    sums = initial.tolist()
+    two_total = 2.0 * total
+    for _ in range(mw_iters):
+        sums = _scaled_to(total, sums)
+        mass = total
+        for first, stop, value in steps:
+            part = 0.0
+            for k in range(first, stop):
+                part += sums[k]
+            factor = math.exp((value - total / mass * part) / two_total)
+            for k in range(first, stop):
+                sums[k] *= factor
+            change = (factor - 1.0) * part
+            if -0.5 * mass < change < mass:
+                mass += change
+            else:
+                sums = _scaled_to(total, sums)
+                mass = total
+    lengths = np.diff(cuts)
+    # Bin over its cell's initial sum first: the sums' ratio alone can overflow.
+    weights /= np.repeat(np.where(initial > 0, initial, 1.0), lengths)
+    weights *= np.repeat(sums, lengths)
+    return weights * (total / weights.sum())
+
+
+def _scaled_to(total: float, sums: list) -> list:
+    """``sums`` scaled to add up to ``total``, added in a plain loop."""
+    mass = 0.0
+    for part in sums:
+        mass += part
+    scale = total / mass
+    return [part * scale for part in sums]
 
 
 def _strategy_workload(strategy: str, d: int) -> Workload:

@@ -117,6 +117,10 @@ class TestExperimentConfig:
             small_config(grid=())
         with pytest.raises(ValueError, match="integers >= 1"):
             small_config(grid=(10.5,))
+        for variable in ("test_m", "training_m"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{variable} grid values must be finite"):
+                    small_config(sweep_variable=variable, grid=(10.0, value))
         with pytest.raises(ValueError, match="finite and positive"):
             small_config(sweep_variable="epsilon", grid=(0.5, 0.0))
         with pytest.raises(ValueError, match="finite and positive"):

@@ -309,6 +309,15 @@ class TestBench:
         assert "error: experiment config field of the wrong type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_a_non_finite_size_grid(self, capsys, tmp_path, value):
+        # json writes these as Infinity and NaN, which json.load reads back.
+        out = tmp_path / "r.csv"
+        rc = main(["bench", self.bench_config(tmp_path, grid=[5, value]), "--out", str(out)])
+        assert rc == 2
+        assert "error: test_m grid values must be finite integers >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_empty_mechanisms_before_writing(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         rc = main(["bench", self.bench_config(tmp_path, mechanisms=[]), "--out", str(out)])

@@ -397,15 +397,77 @@ def test_mw_replay_matches_dense_reference(kind, rounds, mw_iters):
         assert abs(bins.sum() - total) <= 1e-9
 
 
-def test_mw_replay_survives_measurements_far_off_the_total():
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["range", "mixed"])
+def test_mw_replay_survives_measurements_far_off_the_total(kind, seed):
     # Noise about a hundred times the total (24 bins of 0..100 records)
     # moves most steps' mass by more than a factor of two, and unless
     # the weights are rescaled they leave the float range within a few
-    # rounds.  Most bins underflow to zero in both versions.
-    for bins, dense, total in _replay_both("mixed", 30, 20, 120_000.0):
+    # rounds.  Most bins underflow to zero in both versions; with ranges
+    # only, whole cells do, and their bins must stay 0, not 0/0.
+    for bins, dense, total in _replay_both(kind, 30, 20, 120_000.0, seed):
         np.testing.assert_allclose(bins, dense, rtol=1e-12, atol=_SUBNORMAL)
         assert bins.min() >= 0
         assert abs(bins.sum() - total) <= 1e-9
+
+
+def _per_bin_mw_replay(weights, total, history, mw_iters):
+    """Reference for ``_mw_replay``'s cells: every step scales the bins of its support."""
+    steps = [
+        (weights[support] if coeffs is None else support, coeffs, value)
+        for support, coeffs, value in history
+    ]
+    two_total = 2.0 * total
+    for _ in range(mw_iters):
+        weights *= total / weights.sum()
+        mass = total
+        for target, coeffs, value in steps:
+            scale = total / mass
+            if coeffs is None:
+                part = target.sum()
+                factor = math.exp((value - scale * part) / two_total)
+                target *= factor
+                change = (factor - 1.0) * part
+            else:
+                old = weights[target]
+                new = old * np.exp(coeffs * ((value - scale * (coeffs @ old)) / two_total))
+                weights[target] = new
+                change = new.sum() - old.sum()
+            if -0.5 * mass < change < mass:
+                mass += change
+            else:
+                weights *= total / weights.sum()
+                mass = total
+    return weights * (total / weights.sum())
+
+
+def _mwem_with(replay, monkeypatch, test, hist, epsilon, seed):
+    """mwem_publish's answers with ``replay`` as its refit, and the ranges it measured."""
+    measured = []
+
+    def recording(weights, total, history, mw_iters):
+        measured[:] = [(support, value) for support, _, value in history]
+        return replay(weights, total, history, mw_iters)
+
+    monkeypatch.setattr(mechanisms, "_mw_replay", recording)
+    _, answers = mwem_publish(test, hist, epsilon, rounds=10, seed=seed)
+    return answers, measured
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+def test_mwem_on_cells_matches_the_per_bin_refit(epsilon, monkeypatch):
+    # The acceptance-07 sweep's histogram, test size and rounds.
+    hist = generate_simulated_histogram(128, 1000, seed=7)
+    cells = mechanisms._mw_replay
+    for trial in range(3):
+        test = random_range_workload(128, 500, seed=derive_seed(trial, "test"))
+        seed = derive_seed(trial, "mwem")
+        answers, measured = _mwem_with(cells, monkeypatch, test, hist, epsilon, seed)
+        expected, expected_measured = _mwem_with(
+            _per_bin_mw_replay, monkeypatch, test, hist, epsilon, seed
+        )
+        assert measured == expected_measured
+        np.testing.assert_allclose(answers, expected, rtol=1e-12, atol=0)
 
 
 class TestStrategyMechanism:
