@@ -244,10 +244,10 @@ def mwem_publish(
     round (see :func:`_mw_replay`).  While every measured query is a
     range, the endpoints of the measured ranges cut the domain into at
     most 2t + 1 cells after t rounds, every bin of a cell moves by the
-    same factor, and the refit steps one sum per cell instead of the
-    bins (see :func:`_mw_replay_cells`).  The refit only post-processes
-    released measurements.  Returns the final synthetic histogram and
-    its answers to the workload.
+    same factor, and up to 80 cells the refit steps one sum per cell
+    instead of the bins (see :func:`_mw_replay_cells`).  The refit only
+    post-processes released measurements.  Returns the final synthetic
+    histogram and its answers to the workload.
 
     ``on_round`` (if given) is called with (round_index, bins_copy)
     after each round, for instrumentation.
@@ -333,12 +333,18 @@ def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.
     more than a factor of two rescales the same way, since its running
     sum would cancel badly.
 
-    A history of ranges only is refit on cells instead of bins (see
-    :func:`_mw_replay_cells`); a subset or general row can cut the
-    domain into as many cells as bins, and keeps the per-bin steps.
+    A history of ranges that cut the domain into at most
+    ``_MAX_REFIT_CELLS`` cells is refit on the cells instead of the bins
+    (see :func:`_mw_replay_cells`).  Past that, and for a history with a
+    subset or general row, the per-bin steps are the faster ones.
     """
     if all(coeffs is None for _, coeffs, _ in history):
-        return _mw_replay_cells(weights, total, history, mw_iters)
+        cuts = {0, weights.size}
+        for support, _, _ in history:
+            cuts.add(support.start)
+            cuts.add(support.stop)
+        if len(cuts) - 1 <= _MAX_REFIT_CELLS:
+            return _mw_replay_cells(weights, total, history, sorted(cuts), mw_iters)
     # Views of ranges stay valid because every update writes in place.
     steps = [
         (weights[support] if coeffs is None else support, coeffs, value)
@@ -369,11 +375,22 @@ def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.
     return weights * (total / weights.sum())
 
 
-def _mw_replay_cells(weights: np.ndarray, total: float, history, mw_iters: int) -> np.ndarray:
+# A cell step runs two Python loops over the cells its range covers; a
+# per-bin step makes a few numpy calls whatever the range.  Refitting
+# random range histories (20 passes, one BLAS thread, x86-64), the cells
+# were the faster up to about 90 cells at d = 128 and 512, 125 at
+# d = 2048 and 180 at d = 8192, and took half the time at 21 cells.
+_MAX_REFIT_CELLS = 80
+
+
+def _mw_replay_cells(
+    weights: np.ndarray, total: float, history, cuts: list, mw_iters: int
+) -> np.ndarray:
     """:func:`_mw_replay` for a history of ranges, one float per cell.
 
-    The measured ranges' endpoints ``lo`` and ``hi + 1``, with 0 and d,
-    cut the domain into cells; t ranges give at most 2t + 1 of them.
+    ``cuts`` are the sorted distinct endpoints ``lo`` and ``hi + 1`` of
+    the measured ranges, with 0 and d; they cut the domain into cells,
+    at most 2t + 1 of them for t ranges.
     Every range covers whole cells, so every bin of a cell gets the same
     factor at every step, and the refit runs on the cells' sums of
     weights with the same steps, running mass and rescales as the
@@ -383,11 +400,6 @@ def _mw_replay_cells(weights: np.ndarray, total: float, history, mw_iters: int) 
     order, so the result does not depend on how the Python version
     sums floats.
     """
-    cuts = {0, weights.size}
-    for support, _, _ in history:
-        cuts.add(support.start)
-        cuts.add(support.stop)
-    cuts = sorted(cuts)
     cell = {cut: k for k, cut in enumerate(cuts)}
     steps = [(cell[support.start], cell[support.stop], value) for support, _, value in history]
     initial = np.add.reduceat(weights, cuts[:-1])

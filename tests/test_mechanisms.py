@@ -441,7 +441,7 @@ def _per_bin_mw_replay(weights, total, history, mw_iters):
     return weights * (total / weights.sum())
 
 
-def _mwem_with(replay, monkeypatch, test, hist, epsilon, seed):
+def _mwem_with(replay, monkeypatch, test, hist, epsilon, seed, rounds=10):
     """mwem_publish's answers with ``replay`` as its refit, and the ranges it measured."""
     measured = []
 
@@ -450,8 +450,41 @@ def _mwem_with(replay, monkeypatch, test, hist, epsilon, seed):
         return replay(weights, total, history, mw_iters)
 
     monkeypatch.setattr(mechanisms, "_mw_replay", recording)
-    _, answers = mwem_publish(test, hist, epsilon, rounds=10, seed=seed)
+    _, answers = mwem_publish(test, hist, epsilon, rounds=rounds, seed=seed)
     return answers, measured
+
+
+def _count_cell_refits(monkeypatch) -> list:
+    """Record the cell count of every refit that runs on cells."""
+    counts = []
+    cells = mechanisms._mw_replay_cells
+
+    def counting(weights, total, history, cuts, mw_iters):
+        counts.append(len(cuts) - 1)
+        return cells(weights, total, history, cuts, mw_iters)
+
+    monkeypatch.setattr(mechanisms, "_mw_replay_cells", counting)
+    return counts
+
+
+@pytest.mark.parametrize("past_the_limit", [False, True])
+def test_mw_replay_takes_cells_up_to_the_limit(past_the_limit, monkeypatch):
+    # One-bin ranges over the first n of 128 bins cut them into n + 1 cells.
+    limit = mechanisms._MAX_REFIT_CELLS
+    n = limit if past_the_limit else limit - 1
+    hist = generate_simulated_histogram(128, 100, seed=4)
+    total = hist.total
+    noise = np.random.default_rng(4).laplace(0.0, 20.0, n)
+    history = [(slice(k, k + 1), None, hist.bins[k] + noise[k]) for k in range(n)]
+    counts = _count_cell_refits(monkeypatch)
+    bins = mechanisms._mw_replay(np.full(128, total / 128), total, history, 20)
+    expected = _per_bin_mw_replay(np.full(128, total / 128), total, history, 20)
+    if past_the_limit:
+        assert counts == []
+        np.testing.assert_array_equal(bins, expected)
+    else:
+        assert counts == [limit]
+        np.testing.assert_allclose(bins, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
@@ -468,6 +501,25 @@ def test_mwem_on_cells_matches_the_per_bin_refit(epsilon, monkeypatch):
         )
         assert measured == expected_measured
         np.testing.assert_allclose(answers, expected, rtol=1e-12, atol=0)
+
+
+def test_mwem_past_the_cell_limit_matches_the_per_bin_refit(monkeypatch):
+    # 60 rounds at d=512 cut more than the limit's cells within the run,
+    # so the refit moves from the cells to the bins part of the way in.
+    hist = generate_simulated_histogram(512, 1000, seed=7)
+    test = random_range_workload(512, 500, seed=derive_seed(0, "test"))
+    seed = derive_seed(0, "mwem")
+    counts = _count_cell_refits(monkeypatch)
+    answers, measured = _mwem_with(
+        mechanisms._mw_replay, monkeypatch, test, hist, 0.5, seed, rounds=60
+    )
+    assert 0 < len(counts) < 60
+    assert max(counts) <= mechanisms._MAX_REFIT_CELLS
+    expected, expected_measured = _mwem_with(
+        _per_bin_mw_replay, monkeypatch, test, hist, 0.5, seed, rounds=60
+    )
+    assert measured == expected_measured
+    np.testing.assert_allclose(answers, expected, rtol=1e-12, atol=0)
 
 
 class TestStrategyMechanism:
@@ -625,3 +677,4 @@ def test_strategy_answers_match_golden(name):
     golden = GOLDEN_STRATEGY[name]
     assert out.sensitivity_used == golden["sensitivity_used"]
     np.testing.assert_allclose(out.answers, golden["answers"], rtol=1e-12, atol=0)
+
