@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -376,6 +377,31 @@ def test_reports_match_golden(name):
         assert row["train_test_overlap"] == want["train_test_overlap"], key
         for got, expected in zip(row["trial_maes"], want["trial_maes"], strict=True):
             assert math.isclose(got, expected, rel_tol=1e-12), key
+
+
+GOLDEN_REPORT_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "golden_report_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+def test_report_files_match_golden_digests(tmp_path, name):
+    """The JSON and CSV files emit_report writes keep their bytes.
+
+    Each fixture entry holds a d=16 sweep config and the sha256 of both
+    report files for it.  test_reports_match_golden compares parsed
+    dicts, which ignore key order and number spelling; these digests
+    catch a reordered key or a changed CSV line.  The configs use only
+    mechanisms whose answers need no LAPACK solve (mldp singleton and
+    greedy_cover with the linear learner, laplace, mwem and both
+    strategies), so the digests hold at any BLAS thread count.
+    """
+    golden = GOLDEN_REPORT_SHA256[name]
+    report = run_sweep(ExperimentConfig.from_dict(golden["config"]))
+    for suffix in ("json", "csv"):
+        path = tmp_path / f"report.{suffix}"
+        emit_report(report, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[suffix], suffix
 
 
 def _overlap_by_row_bytes(training, test) -> int:
