@@ -33,8 +33,6 @@ __all__ = [
     "mae",
     "DatasetSpec",
     "ExperimentConfig",
-    "ReportRow",
-    "ExperimentReport",
     "run_sweep",
     "emit_report",
     "read_report_csv",
@@ -211,91 +209,6 @@ class ExperimentConfig:
             raise ValueError(f"experiment config field of the wrong type: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """Aggregated MAE of one mechanism at one grid point."""
-
-    mechanism: str
-    grid_index: int
-    grid_value: float
-    mean_mae: float
-    std_mae: float
-    trial_seeds: tuple[int, ...]
-    trial_maes: tuple[float, ...]
-    train_test_overlap: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in self.__dataclass_fields__},
-            "trial_seeds": list(self.trial_seeds),
-            "trial_maes": list(self.trial_maes),
-        }
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Sweep results plus everything needed to reproduce them."""
-
-    config: dict
-    sweep_variable: str
-    grid: tuple[float, ...]
-    rows: tuple[ReportRow, ...]
-    code_version: str = __version__
-    seed_rule: str = SEED_RULE
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "code_version": self.code_version,
-            "seed_rule": self.seed_rule,
-            "sweep_variable": self.sweep_variable,
-            "grid": list(self.grid),
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    def row(self, mechanism: str, grid_index: int) -> ReportRow:
-        for r in self.rows:
-            if r.mechanism == mechanism and r.grid_index == grid_index:
-                return r
-        raise KeyError(f"no row for ({mechanism!r}, {grid_index})")
-
-
-class _Collector:
-    """Accumulates per-trial MAEs keyed by (mechanism, grid index)."""
-
-    def __init__(self, mechanisms, grid):
-        self.grid = grid
-        self.maes = {(m, i): [] for m in mechanisms for i in range(len(grid))}
-        self.seeds = {(m, i): [] for m in mechanisms for i in range(len(grid))}
-        self.overlaps = {(m, i): [] for m in mechanisms for i in range(len(grid))}
-
-    def add(self, mechanism, grid_index, seed, value, overlap=None):
-        self.maes[(mechanism, grid_index)].append(float(value))
-        self.seeds[(mechanism, grid_index)].append(int(seed))
-        if overlap is not None:
-            self.overlaps[(mechanism, grid_index)].append(float(overlap))
-
-    def rows(self, mechanisms) -> tuple[ReportRow, ...]:
-        rows = []
-        for mech in mechanisms:
-            for i, value in enumerate(self.grid):
-                maes = self.maes[(mech, i)]
-                overlaps = self.overlaps[(mech, i)]
-                rows.append(
-                    ReportRow(
-                        mechanism=mech,
-                        grid_index=i,
-                        grid_value=float(value),
-                        mean_mae=float(np.mean(maes)),
-                        std_mae=float(np.std(maes, ddof=1)) if len(maes) > 1 else 0.0,
-                        trial_seeds=tuple(self.seeds[(mech, i)]),
-                        trial_maes=tuple(maes),
-                        train_test_overlap=float(np.mean(overlaps)) if overlaps else None,
-                    )
-                )
-        return tuple(rows)
-
-
 def _baseline_mae(mechanism, test, truth, hist, epsilon, rounds, seed) -> float:
     """One run of a non-mldp mechanism against one test workload."""
     budget = PrivacyBudget(epsilon)
@@ -337,7 +250,7 @@ _READS = {
 }
 
 
-def run_sweep(config: ExperimentConfig) -> ExperimentReport:
+def run_sweep(config: ExperimentConfig) -> dict:
     """MAE of every mechanism at every point of the config's grid.
 
     One loop serves all three sweep kinds: trial, then grid point, then
@@ -355,12 +268,22 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
       fresh budget; the test workload and its exact answers are shared.
 
     Nothing is held across trials.
+
+    Returns the report document that emit_report writes, with the keys
+    config, code_version, seed_rule, sweep_variable, grid and rows.
+    There is one row per mechanism and grid index, in the config's
+    order.  A row holds mechanism, grid_index, grid_value, mean_mae,
+    std_mae (sample standard deviation, 0.0 for one trial), trial_seeds,
+    trial_maes and train_test_overlap.  The overlap is the mean count of
+    test queries found in the training workload; it is None for the
+    baselines.
     """
     var = config.sweep_variable
     if var == "training_m" and "mldp" in config.mechanisms and config.selection != "random_m":
         raise ValueError("the training-size sweep varies m, which needs random_m selection")
     hist = config.dataset.load()
-    collector = _Collector(config.mechanisms, config.grid)
+    # (seed, mae, overlap) of each trial, by (mechanism, grid index)
+    trials = {(mech, i): [] for mech in config.mechanisms for i in range(len(config.grid))}
 
     def test_workload(at, seed):
         test = random_range_workload(hist.d, at["test_m"], seed)
@@ -407,52 +330,72 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
                     seed, mc, model = draw("mldp", "mldp", i, lambda s: publish(at, s))
                     error = mae(predict(model, test), truth)
                     overlap = _overlap_count(training_workload_for(hist.d, mc), test)
-                    collector.add(mech, i, seed, error, overlap)
+                    trials[mech, i].append((seed, error, overlap))
                 else:
                     seed, error = draw(
                         "baseline", mech, i, lambda s: baseline(mech, at, test, truth, s)
                     )
-                    collector.add(mech, i, seed, error)
+                    trials[mech, i].append((seed, error, None))
 
-    return ExperimentReport(
-        config=config.to_dict(),
-        sweep_variable=config.sweep_variable,
-        grid=config.grid,
-        rows=collector.rows(config.mechanisms),
-    )
+    return {
+        "config": config.to_dict(),
+        "code_version": __version__,
+        "seed_rule": SEED_RULE,
+        "sweep_variable": var,
+        "grid": list(config.grid),
+        "rows": [
+            _report_row(mech, i, value, trials[mech, i])
+            for mech in config.mechanisms
+            for i, value in enumerate(config.grid)
+        ],
+    }
 
 
-def emit_report(report: ExperimentReport, path, fmt: str | None = None) -> None:
-    """Write a report as JSON (verbatim) or CSV (plot-ready statistics).
+def _report_row(mechanism, grid_index, grid_value, trials) -> dict:
+    """A report row from one (mechanism, grid point)'s (seed, mae, overlap) trials."""
+    maes = [float(error) for _, error, _ in trials]
+    overlaps = [float(overlap) for _, _, overlap in trials if overlap is not None]
+    return {
+        "mechanism": mechanism,
+        "grid_index": grid_index,
+        "grid_value": float(grid_value),
+        "mean_mae": float(np.mean(maes)),
+        "std_mae": float(np.std(maes, ddof=1)) if len(maes) > 1 else 0.0,
+        "trial_seeds": [int(seed) for seed, _, _ in trials],
+        "trial_maes": maes,
+        "train_test_overlap": float(np.mean(overlaps)) if overlaps else None,
+    }
 
-    fmt defaults to the path's extension.  The JSON body is byte-stable:
-    re-running the same config and seed writes the identical file.  The
-    CSV carries the config echo and provenance as '#' comment lines,
-    then one row per (mechanism, grid point, statistic).
+
+def emit_report(report: dict, path) -> None:
+    """Write a run_sweep report to a .json or a .csv path.
+
+    The path's suffix picks the format.  A .json file is the document
+    itself and is byte-stable: re-running the same config and seed
+    writes the identical file.  A .csv file carries the config echo and
+    provenance as '#' comment lines, then one line per (mechanism, grid
+    point, statistic), for plotting.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
+        raise ValueError(f"unknown report format {fmt!r}; expected a .csv or .json path")
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
         return
     lines = [
-        f"# config: {json.dumps(report.config, separators=(',', ':'))}",
-        f"# code_version: {report.code_version}",
-        f"# seed_rule: {report.seed_rule}",
-        f"# sweep_variable: {report.sweep_variable}",
+        f"# config: {json.dumps(report['config'], separators=(',', ':'))}",
+        f"# code_version: {report['code_version']}",
+        f"# seed_rule: {report['seed_rule']}",
+        f"# sweep_variable: {report['sweep_variable']}",
         "mechanism,grid_value,statistic,value",
     ]
-    for row in report.rows:
-        stats = [("mean_mae", row.mean_mae), ("std_mae", row.std_mae)]
-        if row.train_test_overlap is not None:
-            stats.append(("train_test_overlap", row.train_test_overlap))
-        for name, value in stats:
-            lines.append(f"{row.mechanism},{row.grid_value!r},{name},{value!r}")
+    for row in report["rows"]:
+        for name in ("mean_mae", "std_mae", "train_test_overlap"):
+            if row[name] is not None:
+                lines.append(f"{row['mechanism']},{row['grid_value']!r},{name},{row[name]!r}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -78,9 +78,9 @@ def _check_fit_options(learner: str, ridge, width_u, config: str) -> None:
     """Refuse a ridge or width_u the learner's fit would; None keeps the default."""
     if ridge is not None:
         _check_real(ridge, "ridge", config)
-        if not (ridge > 0 or (ridge == 0 and learner == "linear")):
+        if not (math.isfinite(ridge) and (ridge > 0 or (ridge == 0 and learner == "linear"))):
             rule = "non-negative" if learner == "linear" else "positive for the rbf learner"
-            raise ValueError(f"ridge must be {rule}, got {ridge!r}")
+            raise ValueError(f"ridge must be finite and {rule}, got {ridge!r}")
     if width_u is not None:
         _check_real(width_u, "width_u", config)
         if not (width_u > 0 and math.isfinite(width_u)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histogram import Histogram, _seed
-from .learning import _dyadic_bounds, fit_linear
+from .learning import _check_real, _dyadic_bounds, fit_linear
 from .workload import Workload, _integer, evaluate_workload, range_workload, workload_sensitivity
 
 __all__ = [
@@ -53,6 +53,7 @@ class PrivacyBudget:
     __slots__ = ("_total", "_charges")
 
     def __init__(self, epsilon_total: float):
+        _check_real(epsilon_total, "epsilon_total", "PrivacyBudget")
         epsilon_total = float(epsilon_total)
         if not epsilon_total > 0 or math.isnan(epsilon_total):
             raise ValueError("epsilon_total must be positive")
@@ -78,6 +79,7 @@ class PrivacyBudget:
         return max(0.0, self._total - self.spent)
 
     def charge(self, label: str, epsilon: float) -> None:
+        _check_real(epsilon, "epsilon", "PrivacyBudget.charge")
         epsilon = float(epsilon)
         if not epsilon > 0 or math.isnan(epsilon):
             raise ValueError("charges must be strictly positive")
@@ -134,6 +136,7 @@ class NoisyAnswerSet:
 
 def laplace_sample(scale: float, rng) -> float:
     """One draw from Laplace(0, scale); exactly 0.0 when scale is 0."""
+    _check_real(scale, "scale", "laplace_sample")
     scale = float(scale)
     if scale < 0 or math.isnan(scale):
         raise ValueError("scale must be non-negative")
@@ -156,7 +159,9 @@ def _noise_scale(sensitivity: float, epsilon: float) -> float:
     return sensitivity / epsilon
 
 
-def _check_epsilon(epsilon: float) -> float:
+def _check_epsilon(epsilon: float, caller: str) -> float:
+    """epsilon as a float: a bool, string or other non-number is refused, not coerced."""
+    _check_real(epsilon, "epsilon", caller)
     epsilon = float(epsilon)
     if not epsilon > 0 or math.isnan(epsilon):
         raise ValueError("epsilon must be positive")
@@ -179,7 +184,7 @@ def laplace_batch(
     """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon, "laplace_batch")
     seed = _seed(seed)
     if workload.m == 0:
         return NoisyAnswerSet(workload, np.zeros(0), 0.0, epsilon, seed)
@@ -262,7 +267,7 @@ def mwem_publish(
     if _integer(mw_iters, "mw_iters") < 1:
         raise ValueError("mw_iters must be at least 1")
     seed = _seed(seed)
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon, "mwem_publish")
     total = hist.total
     if total <= 0:
         raise ValueError("the histogram must contain at least one record")
@@ -468,7 +473,7 @@ def strategy_mechanism(
     """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon, "strategy_mechanism")
     seed = _seed(seed)
     strategy_workload = _strategy_workload(strategy, hist.d)
     if budget is None:

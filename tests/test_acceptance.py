@@ -39,6 +39,14 @@ TABLE_HIST = Histogram([12.0, 24.0, 6.0, 7.0])
 SIM_DATASET = DatasetSpec(d=128, max_count=1000, seed=7)
 
 
+def _mean_mae(report: dict, mechanism: str, grid_index: int) -> float:
+    """The mean MAE in a sweep report's row for one mechanism and grid index."""
+    for row in report["rows"]:
+        if row["mechanism"] == mechanism and row["grid_index"] == grid_index:
+            return row["mean_mae"]
+    raise KeyError(f"no row for ({mechanism!r}, {grid_index})")
+
+
 def _verdict(capsys, label: str, failures: list[str]) -> None:
     ok = not failures
     with capsys.disabled():
@@ -194,9 +202,9 @@ def test_acceptance_06_test_size_sweep_trend(capsys):
         base_seed=0,
     )
     report = run_sweep(config)
-    grid = list(report.grid)
-    mldp_means = np.array([report.row("mldp", i).mean_mae for i in range(len(grid))])
-    laplace_means = [report.row("laplace", i).mean_mae for i in range(len(grid))]
+    grid = report["grid"]
+    mldp_means = np.array([_mean_mae(report, "mldp", i) for i in range(len(grid))])
+    laplace_means = [_mean_mae(report, "laplace", i) for i in range(len(grid))]
 
     cov = float(np.std(mldp_means) / np.mean(mldp_means))
     if not cov < 0.2:
@@ -231,15 +239,15 @@ def test_acceptance_07_epsilon_sweep_trend(capsys):
     report = run_sweep(config)
 
     for mech in config.mechanisms:
-        means = [report.row(mech, i).mean_mae for i in range(len(grid))]
+        means = [_mean_mae(report, mech, i) for i in range(len(grid))]
         for i in range(len(means) - 1):
             if means[i + 1] > means[i] * 1.05:
                 failures.append(
                     f"{mech} mean MAE rises {means[i]:.3f} -> {means[i + 1]:.3f} "
                     f"at epsilon {grid[i]} -> {grid[i + 1]} (beyond 5%)"
                 )
-    mldp_means = [report.row("mldp", i).mean_mae for i in range(len(grid))]
-    laplace_means = [report.row("laplace", i).mean_mae for i in range(len(grid))]
+    mldp_means = [_mean_mae(report, "mldp", i) for i in range(len(grid))]
+    laplace_means = [_mean_mae(report, "laplace", i) for i in range(len(grid))]
     for i, (ours, direct) in enumerate(zip(mldp_means, laplace_means)):
         if not ours < direct:
             failures.append(

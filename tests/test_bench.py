@@ -45,6 +45,16 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def row_of(report: dict, mechanism: str, grid_index: int) -> dict:
+    """The report row of one mechanism at one grid index."""
+    (row,) = [
+        r
+        for r in report["rows"]
+        if r["mechanism"] == mechanism and r["grid_index"] == grid_index
+    ]
+    return row
+
+
 class TestMae:
     def test_hand_values(self):
         assert mae([1.0, 2.0], [1.0, 3.0]) == 0.5
@@ -149,6 +159,7 @@ class TestExperimentConfig:
             ({"ridge": -1.0}, "ridge"),
             ({"ridge": "0.5"}, "ridge"),
             ({"ridge": float("nan")}, "ridge"),
+            ({"ridge": float("inf")}, "ridge"),
             ({"learner": "rbf", "ridge": 0.0}, "ridge"),
             ({"width_u": 0.0}, "width_u"),
             ({"width_u": float("inf")}, "width_u"),
@@ -189,25 +200,27 @@ class TestTrainingSizeSweep:
             training_m=5,
         )
         report = run_sweep(config)
-        assert report.sweep_variable == "training_m"
-        assert len(report.rows) == len(MECHANISMS) * 2
+        assert report["sweep_variable"] == "training_m"
+        assert len(report["rows"]) == len(MECHANISMS) * 2
         for mech in MECHANISMS:
             for i in (0, 1):
-                row = report.row(mech, i)
-                assert len(row.trial_maes) == 3
-                assert len(row.trial_seeds) == 3
-                assert row.mean_mae == pytest.approx(float(np.mean(row.trial_maes)))
-                assert row.std_mae == pytest.approx(
-                    float(np.std(row.trial_maes, ddof=1))
+                row = row_of(report, mech, i)
+                assert len(row["trial_maes"]) == 3
+                assert len(row["trial_seeds"]) == 3
+                assert row["mean_mae"] == pytest.approx(float(np.mean(row["trial_maes"])))
+                assert row["std_mae"] == pytest.approx(
+                    float(np.std(row["trial_maes"], ddof=1))
                 )
         # Mechanisms that never see the training set repeat one row.
         for mech in ("laplace", "mwem", "strategy-identity", "strategy-hier"):
-            assert report.row(mech, 0).trial_maes == report.row(mech, 1).trial_maes
-            assert report.row(mech, 0).trial_seeds == report.row(mech, 1).trial_seeds
-            assert report.row(mech, 0).train_test_overlap is None
+            first, second = row_of(report, mech, 0), row_of(report, mech, 1)
+            assert first["trial_maes"] == second["trial_maes"]
+            assert first["trial_seeds"] == second["trial_seeds"]
+            assert first["train_test_overlap"] is None
         # The model is retrained per grid point from per-point seeds.
-        assert report.row("mldp", 0).trial_seeds != report.row("mldp", 1).trial_seeds
-        assert report.row("mldp", 0).train_test_overlap is not None
+        first, second = row_of(report, "mldp", 0), row_of(report, "mldp", 1)
+        assert first["trial_seeds"] != second["trial_seeds"]
+        assert first["train_test_overlap"] is not None
 
     def test_requires_random_m_selection_for_mldp(self):
         config = small_config(sweep_variable="training_m", grid=(5.0,))
@@ -219,32 +232,35 @@ class TestTrainingSizeSweep:
             sweep_variable="training_m", grid=(5.0,), mechanisms=("laplace",), trials=2
         )
         report = run_sweep(config)
-        assert len(report.rows) == 1
+        assert len(report["rows"]) == 1
 
 
 class TestTestSizeSweep:
     def test_model_reused_across_grid(self):
         report = run_sweep(small_config())
+        first, second = row_of(report, "mldp", 0), row_of(report, "mldp", 1)
         # One model per trial: identical seeds across grid points ...
-        assert report.row("mldp", 0).trial_seeds == report.row("mldp", 1).trial_seeds
+        assert first["trial_seeds"] == second["trial_seeds"]
         # ... answering freshly drawn test workloads per point.
-        assert report.row("mldp", 0).trial_maes != report.row("mldp", 1).trial_maes
-        assert report.row("laplace", 0).trial_seeds != report.row("laplace", 1).trial_seeds
-        for i in (0, 1):
-            assert report.row("mldp", i).train_test_overlap is not None
+        assert first["trial_maes"] != second["trial_maes"]
+        assert first["train_test_overlap"] is not None
+        assert second["train_test_overlap"] is not None
+        laplace = row_of(report, "laplace", 0), row_of(report, "laplace", 1)
+        assert laplace[0]["trial_seeds"] != laplace[1]["trial_seeds"]
 
 
 class TestEpsilonSweep:
     def test_all_mechanisms_rerun_per_epsilon(self):
         config = small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2)
         report = run_sweep(config)
-        assert len(report.rows) == len(MECHANISMS) * 2
+        assert len(report["rows"]) == len(MECHANISMS) * 2
         for mech in MECHANISMS:
-            assert report.row(mech, 0).trial_seeds != report.row(mech, 1).trial_seeds
+            first, second = row_of(report, mech, 0), row_of(report, mech, 1)
+            assert first["trial_seeds"] != second["trial_seeds"]
 
     def test_deterministic_given_config(self):
         config = small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=2)
-        assert run_sweep(config).to_dict() == run_sweep(config).to_dict()
+        assert run_sweep(config) == run_sweep(config)
 
 
 @pytest.fixture
@@ -273,7 +289,7 @@ def no_pool_builders(monkeypatch):
 )
 def test_range_pool_built_only_for_pool_selection(no_pool_builders, config):
     report = run_sweep(config)
-    assert len(report.rows) == len(config.mechanisms) * len(config.grid)
+    assert len(report["rows"]) == len(config.mechanisms) * len(config.grid)
 
 
 def test_no_pool_is_ever_built(no_pool_builders):
@@ -288,7 +304,7 @@ def test_no_pool_is_ever_built(no_pool_builders):
         sweep_variable="training_m", grid=(5.0, 20.0), selection="random_m", trials=2
     )
     report = run_sweep(config)
-    assert len(report.rows) == len(config.mechanisms) * len(config.grid)
+    assert len(report["rows"]) == len(config.mechanisms) * len(config.grid)
 
 
 @pytest.fixture(scope="module")
@@ -298,9 +314,9 @@ def report():
 
 class TestRunSweepAndReports:
     def test_dispatch_follows_the_config(self, report):
-        assert report.sweep_variable == "test_m"
-        assert report.code_version
-        assert "derive_seed" in report.seed_rule
+        assert report["sweep_variable"] == "test_m"
+        assert report["code_version"]
+        assert "derive_seed" in report["seed_rule"]
 
     def test_json_report_round_trips_and_is_byte_stable(self, tmp_path, report):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -308,7 +324,7 @@ class TestRunSweepAndReports:
         emit_report(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
-        assert doc == report.to_dict()
+        assert doc == report
         assert ExperimentConfig.from_dict(doc["config"]) == small_config(
             trials=2, mechanisms=("mldp", "laplace")
         )
@@ -317,32 +333,53 @@ class TestRunSweepAndReports:
         p = tmp_path / "r.csv"
         emit_report(report, p)
         parsed = read_report_csv(p)
-        assert parsed["config"] == report.config
+        assert parsed["config"] == report["config"]
         assert parsed["sweep_variable"] == "test_m"
-        assert parsed["code_version"] == report.code_version
+        assert parsed["code_version"] == report["code_version"]
         by_key = {
             (r["mechanism"], r["grid_value"], r["statistic"]): r["value"]
             for r in parsed["rows"]
         }
-        for row in report.rows:
-            assert by_key[(row.mechanism, row.grid_value, "mean_mae")] == row.mean_mae
-            assert by_key[(row.mechanism, row.grid_value, "std_mae")] == row.std_mae
-            if row.train_test_overlap is not None:
+        for row in report["rows"]:
+            assert by_key[(row["mechanism"], row["grid_value"], "mean_mae")] == row["mean_mae"]
+            assert by_key[(row["mechanism"], row["grid_value"], "std_mae")] == row["std_mae"]
+            if row["train_test_overlap"] is not None:
                 assert (
-                    by_key[(row.mechanism, row.grid_value, "train_test_overlap")]
-                    == row.train_test_overlap
+                    by_key[(row["mechanism"], row["grid_value"], "train_test_overlap")]
+                    == row["train_test_overlap"]
                 )
         # Exactly the statistics above, nothing else.
         expected_rows = sum(
-            2 + (1 if row.train_test_overlap is not None else 0) for row in report.rows
+            2 + (1 if row["train_test_overlap"] is not None else 0) for row in report["rows"]
         )
         assert len(parsed["rows"]) == expected_rows
 
     def test_format_inferred_from_extension(self, tmp_path, report):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(report, tmp_path / "r.txt")
-        emit_report(report, tmp_path / "r.data", fmt="json")
-        assert json.loads((tmp_path / "r.data").read_text()) == report.to_dict()
+        assert not (tmp_path / "r.txt").exists()
+        emit_report(report, tmp_path / "r.JSON")
+        assert json.loads((tmp_path / "r.JSON").read_text()) == report
+
+    def test_document_keys_and_plain_python_numbers(self, report):
+        """The document's key order, and no numpy scalar for json.dump or repr()."""
+        assert list(report) == [
+            "config", "code_version", "seed_rule", "sweep_variable", "grid", "rows"
+        ]
+        assert [(r["mechanism"], r["grid_index"]) for r in report["rows"]] == [
+            ("mldp", 0), ("mldp", 1), ("laplace", 0), ("laplace", 1)
+        ]
+        for row in report["rows"]:
+            assert list(row) == [
+                "mechanism", "grid_index", "grid_value", "mean_mae", "std_mae",
+                "trial_seeds", "trial_maes", "train_test_overlap",
+            ]
+            assert type(row["grid_index"]) is int
+            assert all(type(row[key]) is float for key in ("grid_value", "mean_mae", "std_mae"))
+            assert all(type(seed) is int for seed in row["trial_seeds"])
+            assert all(type(value) is float for value in row["trial_maes"])
+            overlap = row["train_test_overlap"]
+            assert type(overlap) is (float if row["mechanism"] == "mldp" else type(None))
 
     def test_csv_reader_requires_config_comment(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -358,14 +395,14 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_sweeps.json").read
 def test_reports_match_golden(name):
     """Sweep reports match the pinned fixture.
 
-    The fixture holds run_sweep(config).to_dict() at d=16 for test_m,
+    The fixture holds run_sweep(config) at d=16 for test_m,
     training_m and epsilon sweeps over each selection and learner path,
     plus the acceptance-07 config shrunk to d=16.  Seeds must match
     exactly; MAEs to a relative 1e-12, which absorbs BLAS threading.
     Regenerate it only for a deliberate change of report contents.
     """
     golden = GOLDEN[name]
-    report = run_sweep(ExperimentConfig.from_dict(golden["config"])).to_dict()
+    report = run_sweep(ExperimentConfig.from_dict(golden["config"]))
     assert report["config"] == golden["config"]
     assert report["seed_rule"] == golden["seed_rule"]
     assert len(report["rows"]) == len(golden["rows"])

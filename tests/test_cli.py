@@ -180,8 +180,21 @@ class TestPublishAnswer:
             {"epsilon": True},
             {"width_u": 0},
             {"learner": "rbf", "ridge": 0},
+            # json writes inf as Infinity, which json.load reads back.
+            {"ridge": float("inf")},
+            {"selection": "random_m", "m": 5, "ridge": float("inf")},
+            {"learner": "rbf", "selection": "random_m", "m": 5, "ridge": float("inf")},
         ],
-        ids=["negative-ridge", "string-ridge", "bool-epsilon", "zero-width", "rbf-zero-ridge"],
+        ids=[
+            "negative-ridge",
+            "string-ridge",
+            "bool-epsilon",
+            "zero-width",
+            "rbf-zero-ridge",
+            "inf-ridge",
+            "random_m-inf-ridge",
+            "rbf-inf-ridge",
+        ],
     )
     def test_publish_refuses_bad_fit_numbers_and_writes_nothing(
         self, capsys, tmp_path, hist_csv, field
@@ -316,6 +329,13 @@ class TestBench:
         rc = main(["bench", self.bench_config(tmp_path, grid=[5, value]), "--out", str(out)])
         assert rc == 2
         assert "error: test_m grid values must be finite integers >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_an_infinite_ridge_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        config = self.bench_config(tmp_path, mechanisms=["mldp"], ridge=float("inf"))
+        assert main(["bench", config, "--out", str(out)]) == 2
+        assert "error: ridge must be finite and non-negative, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_empty_mechanisms_before_writing(self, capsys, tmp_path):

@@ -284,6 +284,8 @@ class TestFitLinear:
             fit_linear(t, ridge=-1.0)
         with pytest.raises(ValueError, match="ridge"):
             fit_linear(t, ridge=math.nan)
+        with pytest.raises(ValueError, match="ridge must be finite and non-negative, got inf"):
+            fit_linear(t, ridge=math.inf)
 
     def test_rejects_an_empty_release(self):
         empty = NoisyAnswerSet(Workload(3, []), np.zeros(0), 1.0, 1.0, seed=None)
@@ -425,8 +427,9 @@ class TestFitRbf:
             ({"width_u": "2.0"}, "width_u='2.0' is not a number"),
             ({"ridge": "0.5"}, "ridge='0.5' is not a number"),
             ({"ridge": True}, "ridge=True is not a number"),
+            ({"ridge": math.inf}, "ridge must be finite and positive for the rbf learner, got inf"),
         ],
-        ids=["inf-width", "nan-width", "string-width", "string-ridge", "bool-ridge"],
+        ids=["inf-width", "nan-width", "string-width", "string-ridge", "bool-ridge", "inf-ridge"],
     )
     def test_refuses_bad_numbers_before_any_kernel(self, ranges4, monkeypatch, options, message):
         """An infinite width_u would fit a model save_model writes and load_model refuses."""

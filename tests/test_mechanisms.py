@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,57 @@ class TestLaplaceSample:
         draws = np.array([laplace_sample(2.0, rng) for _ in range(20_000)])
         assert abs(np.mean(np.abs(draws)) - 2.0) < 0.06
         assert abs(np.median(draws)) < 0.05
+
+
+# Values float() would read as a number; every entry point refuses them.
+NOT_NUMBERS = [True, "1.0", None]
+
+
+class TestNumbersAreNotCoerced:
+    @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+    def test_budget_total_and_charge(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon_total={bad!r} is not a number")):
+            PrivacyBudget(bad)
+        b = PrivacyBudget(1.0)
+        with pytest.raises(ValueError, match=re.escape(f"epsilon={bad!r} is not a number")):
+            b.charge("bad", bad)
+        assert b.ledger == ()
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+    def test_laplace_sample_scale(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"scale={bad!r} is not a number")):
+            laplace_sample(bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+    @pytest.mark.parametrize("release", ["laplace_batch", "mwem_publish", "strategy_mechanism"])
+    def test_release_epsilon_charges_nothing(self, hist4, ranges4, release, bad):
+        budget = PrivacyBudget(10.0)
+        run = {
+            "laplace_batch": lambda: laplace_batch(ranges4, hist4, budget, bad, seed=0),
+            "mwem_publish": lambda: mwem_publish(ranges4, hist4, bad, 2, 0, budget=budget),
+            "strategy_mechanism": lambda: strategy_mechanism(
+                ranges4, "identity", hist4, bad, 0, budget=budget
+            ),
+        }[release]
+        message = f"{release} field of the wrong type: epsilon={bad!r} is not a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+        assert budget.ledger == ()
+
+    def test_ints_numpy_floats_and_inf_are_accepted(self, hist4, ranges4):
+        budget = PrivacyBudget(np.float64(10.0))
+        budget.charge("int", 1)
+        laplace_batch(ranges4, hist4, budget, np.float32(0.5), seed=0)
+        mwem_publish(ranges4, hist4, 2, 2, 0, budget=budget)
+        strategy_mechanism(ranges4, "identity", hist4, np.float64(1.5), 0, budget=budget)
+        assert [eps for _, eps in budget.ledger][:2] == [1.0, 0.5]
+        assert budget.spent == pytest.approx(5.0)
+        assert laplace_sample(np.float64(0.0), np.random.default_rng(0)) == 0.0
+        assert laplace_sample(1, np.random.default_rng(0)) != 0.0
+        unlimited = PrivacyBudget(math.inf)
+        exact = laplace_batch(ranges4, hist4, unlimited, math.inf, seed=0)
+        np.testing.assert_array_equal(exact.answers, evaluate_workload(ranges4, hist4))
+        assert unlimited.ledger == (("laplace batch m=10", math.inf),)
 
 
 class TestLaplaceBatch:

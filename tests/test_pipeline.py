@@ -38,7 +38,9 @@ BAD_FIT_NUMBERS = [
     ({"ridge": "abc"}, "ridge"),
     ({"ridge": True}, "ridge"),
     ({"ridge": math.nan}, "ridge"),
+    ({"ridge": math.inf}, "ridge"),
     ({"learner": "rbf", "ridge": 0.0}, "ridge"),
+    ({"learner": "rbf", "ridge": math.inf}, "ridge"),
     ({"width_u": -1.0}, "width_u"),
     ({"width_u": 0}, "width_u"),
     ({"width_u": math.inf}, "width_u"),
