@@ -22,7 +22,9 @@ from .histogram import Histogram, generate_simulated_histogram, load_histogram_c
 from .learning import (
     MODEL_KINDS, SELECTION_STRATEGIES, _check_fit_options, _check_int, _check_real, predict
 )
-from .mechanisms import PrivacyBudget, laplace_batch, mwem_publish, strategy_mechanism
+from .mechanisms import (
+    PrivacyBudget, _mwem_runs, laplace_batch, mwem_publish, strategy_mechanism
+)
 from .pipeline import MldpConfig, mldp_publish, training_workload_for
 from .seeds import derive_seed
 from .workload import Workload, evaluate_workload, random_range_workload
@@ -153,6 +155,9 @@ class ExperimentConfig:
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ValueError(f"unknown mechanisms {unknown}; expected subset of {MECHANISMS}")
+        repeated = sorted({m for m in self.mechanisms if self.mechanisms.count(m) > 1})
+        if repeated:
+            raise ValueError(f"mechanisms listed more than once: {repeated}")
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"unknown sweep variable {self.sweep_variable!r}; expected one of "
@@ -227,6 +232,42 @@ def _baseline_mae(mechanism, test, truth, hist, epsilon, rounds, seed) -> float:
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
+# The most MWEM runs run_sweep queues before it refits them together: it
+# bounds what a sweep holds at once, whatever its number of trials.
+_MWEM_BATCH = 200
+
+
+class _PendingMae:
+    """A queued MWEM run's MAE; float() reads it once its batch has run."""
+
+    __slots__ = ("value",)
+
+    def __float__(self) -> float:
+        return self.value
+
+
+def _run_mwem_queue(queue: list, hist: Histogram, rounds: int) -> None:
+    """Refit the queued MWEM runs together and fill in their MAEs; empties the queue.
+
+    A queued run is ``(pending, rows, epsilon, seed)``, with ``rows``
+    its test workload's ``((lo, hi), truth)``, shared by every run on
+    that workload.  Each run gets a fresh budget of its epsilon, as in
+    :func:`_baseline_mae`, and the MAE of the answers of its synthetic
+    histogram.
+    """
+    if not queue:
+        return
+    groups, position, runs = [], {}, []
+    for _, rows, epsilon, seed in queue:
+        if id(rows) not in position:
+            position[id(rows)] = len(groups)
+            groups.append(rows)
+        runs.append((position[id(rows)], epsilon, seed, PrivacyBudget(epsilon), None))
+    for k, bins, matrix in _mwem_runs(hist, groups, runs, rounds):
+        queue[k][0].value = mae(matrix @ bins, groups[runs[k][0]][1])
+    queue.clear()
+
+
 def _overlap_count(training: Workload, test: Workload) -> int:
     """How many test queries also appear in the training workload.
 
@@ -267,7 +308,14 @@ def run_sweep(config: ExperimentConfig) -> dict:
     - epsilon: the model and the baselines rerun at each epsilon with a
       fresh budget; the test workload and its exact answers are shared.
 
-    Nothing is held across trials.
+    MWEM runs are not run one by one.  Each is queued with its test
+    workload's bounds (int32) and exact answers, its epsilon and its
+    seed, and its rows hold a placeholder for its MAE.  When a run
+    finds _MWEM_BATCH runs waiting, and after the last trial, the queue
+    runs through the lockstep engine ``mechanisms._mwem_runs``, which
+    gives each run the bytes mwem_publish gives it alone, and the MAEs
+    are filled in.  A queued run holds no matrix, so what a sweep holds
+    across trials is bounded by the batch, not by the number of trials.
 
     Returns the report document that emit_report writes, with the keys
     config, code_version, seed_rule, sweep_variable, grid and rows.
@@ -284,10 +332,13 @@ def run_sweep(config: ExperimentConfig) -> dict:
     hist = config.dataset.load()
     # (seed, mae, overlap) of each trial, by (mechanism, grid index)
     trials = {(mech, i): [] for mech in config.mechanisms for i in range(len(config.grid))}
+    queue = []  # MWEM runs waiting for _run_mwem_queue
 
     def test_workload(at, seed):
         test = random_range_workload(hist.d, at["test_m"], seed)
-        return test, evaluate_workload(test, hist)
+        truth = evaluate_workload(test, hist)
+        bounds = np.array(test._lo, dtype=np.int32), np.array(test._hi, dtype=np.int32)
+        return test, truth, (bounds, truth)
 
     def publish(at, seed):
         mc = MldpConfig(
@@ -301,8 +352,14 @@ def run_sweep(config: ExperimentConfig) -> dict:
         )
         return seed, mc, mldp_publish(hist, mc, PrivacyBudget(at["epsilon"]))
 
-    def baseline(mech, at, test, truth, seed):
-        return seed, _baseline_mae(mech, test, truth, hist, at["epsilon"], config.rounds, seed)
+    def baseline(mech, at, test, truth, rows, seed):
+        if mech != "mwem":
+            return seed, _baseline_mae(mech, test, truth, hist, at["epsilon"], config.rounds, seed)
+        if len(queue) == _MWEM_BATCH:
+            _run_mwem_queue(queue, hist, config.rounds)
+        pending = _PendingMae()
+        queue.append((pending, rows, at["epsilon"], seed))
+        return seed, pending
 
     for t in range(config.trials):
         trial_seed = config.base_seed + t
@@ -322,7 +379,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
                 "epsilon": config.epsilon,
                 var: value if var == "epsilon" else int(value),
             }
-            test, truth = draw(
+            test, truth, rows = draw(
                 "test-workload", "test-workload", i, lambda s: test_workload(at, s)
             )
             for mech in config.mechanisms:
@@ -333,9 +390,12 @@ def run_sweep(config: ExperimentConfig) -> dict:
                     trials[mech, i].append((seed, error, overlap))
                 else:
                     seed, error = draw(
-                        "baseline", mech, i, lambda s: baseline(mech, at, test, truth, s)
+                        "baseline", mech, i, lambda s: baseline(mech, at, test, truth, rows, s)
                     )
                     trials[mech, i].append((seed, error, None))
+
+    test = shared = None  # release the last test workload before the queue is refit
+    _run_mwem_queue(queue, hist, config.rounds)
 
     return {
         "config": config.to_dict(),
@@ -367,6 +427,14 @@ def _report_row(mechanism, grid_index, grid_value, trials) -> dict:
     }
 
 
+def _report_format(path) -> str:
+    """"json" or "csv", from the path's suffix; ValueError for any other."""
+    fmt = Path(path).suffix.lstrip(".").lower()
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}; expected a .csv or .json path")
+    return fmt
+
+
 def emit_report(report: dict, path) -> None:
     """Write a run_sweep report to a .json or a .csv path.
 
@@ -376,11 +444,7 @@ def emit_report(report: dict, path) -> None:
     provenance as '#' comment lines, then one line per (mechanism, grid
     point, statistic), for plotting.
     """
-    path = Path(path)
-    fmt = path.suffix.lstrip(".").lower()
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}; expected a .csv or .json path")
-    if fmt == "json":
+    if _report_format(path) == "json":
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .bench import ExperimentConfig, emit_report, run_sweep
+from .bench import ExperimentConfig, _report_format, emit_report, run_sweep
 from .histogram import load_histogram_csv
 from .learning import load_model, predict, save_model
 from .mechanisms import InsufficientBudgetError, PrivacyBudget
@@ -113,6 +113,7 @@ def _cmd_bench(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
     config = ExperimentConfig.from_dict(doc)
+    _report_format(args.out)  # refuse an unusable path before the sweep runs
     report = run_sweep(config)
     emit_report(report, args.out)
     print(

@@ -242,17 +242,17 @@ def mwem_publish(
         bins_j <- bins_j * exp(coeffs[j] * (measured - estimate) / (2 * total))
 
     with the bins held to the true total, which keeps them positive.
-    The refit holds the bins as ``s * u`` with ``s = total / sum(u)``,
-    so a step rescales only its query's support (exp(0) = 1 elsewhere)
-    and updates a running sum of ``u``; ``u`` is rescaled to the true
-    total at the start of every pass, and the bins are formed once per
-    round (see :func:`_mw_replay`).  While every measured query is a
-    range, the endpoints of the measured ranges cut the domain into at
-    most 2t + 1 cells after t rounds, every bin of a cell moves by the
-    same factor, and up to 80 cells the refit steps one sum per cell
-    instead of the bins (see :func:`_mw_replay_cells`).  The refit only
+    While every measured query is a range, the refit steps one sum per
+    cell of the domain the measured ranges cut (see
+    :func:`_mw_refit_cells`); once a subset or general row is measured
+    it steps the bins (see :func:`_mw_replay`).  A step whose factor
+    leaves the float range takes the update's limit instead, which can
+    leave bins at 0 (see :func:`_mw_limit`).  The refit only
     post-processes released measurements.  Returns the final synthetic
     histogram and its answers to the workload.
+
+    This is one run of the engine :func:`_mwem_runs`, which advances
+    any number of runs together and gives each the bytes it has alone.
 
     ``on_round`` (if given) is called with (round_index, bins_copy)
     after each round, for instrumentation.
@@ -268,178 +268,287 @@ def mwem_publish(
         raise ValueError("mw_iters must be at least 1")
     seed = _seed(seed)
     epsilon = _check_epsilon(epsilon, "mwem_publish")
-    total = hist.total
-    if total <= 0:
-        raise ValueError("the histogram must contain at least one record")
     if budget is None:
         budget = PrivacyBudget(epsilon)
-
-    budget._check_fits("mwem", epsilon)
-
-    matrix = workload.matrix
-    # Moving one record changes any one query answer, and so any score,
-    # by at most the largest absolute coefficient.
-    sensitivity = float(np.abs(matrix).max())
-    eps_round = epsilon / (2 * rounds)
-    # An all-zero workload reads no data: its selection is the argmax.
-    select_epsilon = eps_round / sensitivity if sensitivity > 0 else math.inf
-    measurement_scale = _noise_scale(sensitivity, eps_round)
-    rng = np.random.default_rng(seed)
     truth = evaluate_workload(workload, hist)
-    weights = np.full(hist.d, total / hist.d)
-    bins = weights.copy()
-    history: list[tuple] = []
-
-    for t in range(rounds):
-        scores = np.abs(matrix @ bins - truth)
-        budget.charge(f"mwem select round {t + 1}", eps_round)
-        picked = _exponential_mechanism(scores, select_epsilon, rng)
-        budget.charge(f"mwem measure round {t + 1}", eps_round)
-        measured = truth[picked] + _laplace_noise(measurement_scale, 1, rng)[0]
-        history.append((*_mw_support(workload, picked), measured))
-        bins = _mw_replay(weights, total, history, mw_iters)
-        if on_round is not None:
-            on_round(t, bins.copy())
-
+    runs = [(0, epsilon, seed, budget, on_round)]
+    ((_, bins, _),) = _mwem_runs(hist, [(workload, truth)], runs, rounds, mw_iters)
     synthetic = Histogram(bins)
     return synthetic, evaluate_workload(workload, synthetic)
 
 
-def _mw_support(workload: Workload, i: int) -> tuple:
-    """The bins a multiplicative-weights step on query ``i`` changes.
+class _MwemRun:
+    """One run's noise, budget and weights inside :func:`_mwem_runs`."""
 
-    A range gives ``(slice(lo, hi + 1), None)``: every coefficient on
-    it is 1.  Any other query gives its nonzero bins and their
-    coefficients.
+    __slots__ = (
+        "budget", "on_round", "rng", "eps_round", "select_epsilon", "scale", "weights", "history"
+    )
+
+
+def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters: int = 20):
+    """Advance independent MWEM runs over ``hist`` round by round.
+
+    ``groups`` holds ``(workload, truth)`` pairs: a workload is a
+    :class:`Workload` or the ``(lo, hi)`` bound arrays of a range
+    workload over ``hist.d``, and ``truth`` its exact answers.  A
+    bounds workload's matrix is written into one buffer shared by all
+    of them when it is used, so the engine holds one matrix, whatever
+    the number of groups.  ``runs`` holds ``(group index, epsilon,
+    seed, budget, on_round)`` tuples; each run follows
+    :func:`mwem_publish` with its own generator and budget, so its
+    picks, measurements and charges do not depend on the other runs.
+
+    Each round scores, picks and measures every run group by group,
+    then refits all runs whose measured queries are ranges in one
+    lockstep :func:`_mw_refit_cells` and every other run with
+    :func:`_mw_replay`.  A run holds its weights (d floats) and its
+    measurements, the ranges' bounds and values in three (runs x
+    rounds) arrays; its bins are formed from the weights when they are
+    scored.  After the last round the engine yields ``(run index,
+    bins, matrix)`` for each run, group by group; ``matrix`` is the
+    run's workload matrix, valid until the next item.
     """
-    if workload._kinds[i] == "range":
-        return slice(workload._lo[i], workload._hi[i] + 1), None
+    total, d = hist.total, hist.d
+    if total <= 0:
+        raise ValueError("the histogram must contain at least one record")
+    for _, epsilon, _, budget, _ in runs:
+        budget._check_fits("mwem", epsilon)
+    sizes = [workload[0].size for workload, _ in groups if not isinstance(workload, Workload)]
+    buffer = np.empty((max(sizes, default=0), d))
+    columns = np.arange(d)
+
+    def matrix_of(workload):
+        if isinstance(workload, Workload):
+            return workload.matrix
+        lo, hi = workload
+        matrix = buffer[: lo.size]
+        matrix[...] = columns >= lo[:, None]
+        matrix *= columns <= hi[:, None]  # the 0/1 rows range_workload builds
+        return matrix
+
+    # Moving one record changes any one query answer, and so any score,
+    # by at most the largest absolute coefficient: 1 for a range.
+    sensitivities = [
+        float(np.abs(workload.matrix).max()) if isinstance(workload, Workload) else 1.0
+        for workload, _ in groups
+    ]
+    states, members = [], [[] for _ in groups]
+    for k, (g, epsilon, seed, budget, on_round) in enumerate(runs):
+        sensitivity = sensitivities[g]
+        run = _MwemRun()
+        run.budget, run.on_round = budget, on_round
+        run.rng = np.random.default_rng(seed)
+        run.eps_round = epsilon / (2 * rounds)
+        # An all-zero workload reads no data: its selection is the argmax.
+        run.select_epsilon = run.eps_round / sensitivity if sensitivity > 0 else math.inf
+        run.scale = _noise_scale(sensitivity, run.eps_round)
+        run.weights = np.full(d, total / d)
+        run.history = None  # until it measures a subset or general row
+        states.append(run)
+        members[g].append(k)
+    # A range measured by run k in round t: its cuts and its value.
+    starts = np.zeros((len(runs), rounds), dtype=np.int64)
+    stops = np.zeros((len(runs), rounds), dtype=np.int64)
+    values = np.zeros((len(runs), rounds))
+
+    for t in range(rounds):
+        # One label object per round, shared by every run's ledger.
+        select, measure = f"mwem select round {t + 1}", f"mwem measure round {t + 1}"
+        for (workload, truth), ks in zip(groups, members):
+            if not ks:
+                continue
+            matrix = matrix_of(workload)
+            lo, hi = (workload._lo, workload._hi) if isinstance(workload, Workload) else workload
+            for k in ks:
+                run = states[k]
+                bins = run.weights if t == 0 else _mw_bins(run.weights, total)
+                scores = np.abs(matrix @ bins - truth)
+                run.budget.charge(select, run.eps_round)
+                picked = _exponential_mechanism(scores, run.select_epsilon, run.rng)
+                run.budget.charge(measure, run.eps_round)
+                measured = truth[picked] + _laplace_noise(run.scale, 1, run.rng)[0]
+                if run.history is None and lo[picked] is not None:
+                    starts[k, t], stops[k, t], values[k, t] = lo[picked], hi[picked] + 1, measured
+                    continue
+                if run.history is None:  # its first subset or general row
+                    run.history = [
+                        (np.arange(start, stop), np.ones(stop - start), value)
+                        for start, stop, value in zip(starts[k, :t], stops[k, :t], values[k, :t])
+                    ]
+                run.history.append((*_mw_support(workload, picked), measured))
+        on_cells = [k for k, run in enumerate(states) if run.history is None]
+        if on_cells:
+            measured_so_far = np.s_[on_cells, : t + 1]
+            _mw_refit_cells(
+                [states[k].weights for k in on_cells], total, starts[measured_so_far],
+                stops[measured_so_far], values[measured_so_far], mw_iters,
+            )
+        for run in states:
+            if run.history is not None:
+                _mw_replay(run.weights, total, run.history, mw_iters)
+            if run.on_round is not None:
+                run.on_round(t, _mw_bins(run.weights, total))
+
+    for (workload, _), ks in zip(groups, members):
+        if ks:
+            matrix = matrix_of(workload)
+            for k in ks:
+                yield k, _mw_bins(states[k].weights, total), matrix
+
+
+def _mw_bins(weights: np.ndarray, total: float) -> np.ndarray:
+    """The bins a refit's weights stand for: the weights scaled to the true total."""
+    return weights * (total / np.add.reduce(weights))
+
+
+def _mw_support(workload: Workload, i: int) -> tuple:
+    """The nonzero bins of query ``i`` and their coefficients."""
     row = workload.matrix[i]
     support = np.flatnonzero(row)
     return support, row[support]
 
 
-def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> np.ndarray:
-    """Refit ``weights`` in place to ``history``; returns the bins they give.
+# The largest argument math.exp takes: log of the largest float.
+_EXP_MAX = 709.782712893384
+
+
+def _mw_limit(weights: np.ndarray, exponents: np.ndarray, total: float) -> np.ndarray:
+    """The limit of the step ``weights * exp(exponents)``, scaled to ``total``.
+
+    It stands in for a step whose factor leaves the float range, for
+    which the plain step would overflow, or leave no mass to rescale.
+    As the exponents grow, the step moves all the mass to the entries
+    whose exponent is the largest among those holding mass: for a
+    range or subset, onto its covered bins or off them.  A run whose
+    mass lies only on the losing side is left as it was.
+    """
+    held = weights > 0
+    kept = np.where(held & (exponents == exponents[held].max()), weights, 0.0)
+    return kept / kept.sum() * total
+
+
+def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> None:
+    """Refit ``weights`` in place to a history that holds a subset or general row.
 
     ``history`` holds ``(support, coeffs, measured)`` entries from
     :func:`_mw_support`.  Each of the ``mw_iters`` passes replays every
     entry once, in order, with the update of :func:`mwem_publish`.
 
     The bins are ``s * weights`` with ``s = total / mass`` and ``mass``
-    the running sum of the weights, so a step touches only its query's
-    support.  A range multiplies its slice by one scalar ``f`` and adds
-    ``(f - 1) * part`` to the mass, where ``part`` is the slice's sum;
-    any other query multiplies its support by ``exp(coeffs * delta)``
-    and adds the change of the support's sum.  Each pass starts by
-    scaling the weights back to the true total, so the running sum's
-    rounding error cannot build up across passes and the weights cannot
-    drift out of the float range.  A step that would move the mass by
-    more than a factor of two rescales the same way, since its running
-    sum would cancel badly.
-
-    A history of ranges that cut the domain into at most
-    ``_MAX_REFIT_CELLS`` cells is refit on the cells instead of the bins
-    (see :func:`_mw_replay_cells`).  Past that, and for a history with a
-    subset or general row, the per-bin steps are the faster ones.
+    the running sum of the weights, so a step multiplies only its
+    query's support by ``exp(coeffs * delta)`` and adds the change of
+    the support's sum to the mass.  Each pass starts by scaling the
+    weights back to the true total, so the running sum's rounding error
+    cannot build up across passes and the weights cannot drift out of
+    the float range.  A step that would move the mass by more than a
+    factor of two rescales the same way, since its running sum would
+    cancel badly.  A step that overflows, or leaves no mass to rescale,
+    takes :func:`_mw_limit` instead.
     """
-    if all(coeffs is None for _, coeffs, _ in history):
-        cuts = {0, weights.size}
-        for support, _, _ in history:
-            cuts.add(support.start)
-            cuts.add(support.stop)
-        if len(cuts) - 1 <= _MAX_REFIT_CELLS:
-            return _mw_replay_cells(weights, total, history, sorted(cuts), mw_iters)
-    # Views of ranges stay valid because every update writes in place.
-    steps = [
-        (weights[support] if coeffs is None else support, coeffs, value)
-        for support, coeffs, value in history
-    ]
     two_total = 2.0 * total
     add = np.add.reduce  # ndarray.sum without its Python-level wrapper
-    for _ in range(mw_iters):
-        weights *= total / add(weights)
-        mass = total
-        for target, coeffs, value in steps:
-            scale = total / mass
-            if coeffs is None:
-                part = add(target)
-                factor = math.exp((value - scale * part) / two_total)
-                target *= factor
-                change = (factor - 1.0) * part
-            else:
-                old = weights[target]
-                new = old * np.exp(coeffs * ((value - scale * (coeffs @ old)) / two_total))
-                weights[target] = new
-                change = new.sum() - old.sum()
-            if -0.5 * mass < change < mass:
-                mass += change
-            else:
-                weights *= total / weights.sum()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(mw_iters):
+            weights *= total / add(weights)
+            mass = total
+            for support, coeffs, value in history:
+                old = weights[support]
+                exponents = coeffs * ((value - total / mass * (coeffs @ old)) / two_total)
+                new = old * np.exp(exponents)
+                weights[support] = new
+                change = add(new) - add(old)
+                if -0.5 * mass < change < mass:
+                    mass += change
+                    continue
+                scale = total / add(weights)
+                if 0 < scale < math.inf:
+                    weights *= scale
+                else:
+                    weights[support] = old
+                    full = np.zeros(weights.size)
+                    full[support] = exponents
+                    weights[:] = _mw_limit(weights, full, total)
                 mass = total
-    return weights * (total / weights.sum())
 
 
-# A cell step runs two Python loops over the cells its range covers; a
-# per-bin step makes a few numpy calls whatever the range.  Refitting
-# random range histories (20 passes, one BLAS thread, x86-64), the cells
-# were the faster up to about 90 cells at d = 128 and 512, 125 at
-# d = 2048 and 180 at d = 8192, and took half the time at 21 cells.
-_MAX_REFIT_CELLS = 80
+def _mw_refit_cells(
+    weights: list, total: float, lo: np.ndarray, stop: np.ndarray, values: np.ndarray,
+    mw_iters: int,
+) -> None:
+    """Refit runs whose measured queries are all ranges, in lockstep, in place.
 
+    ``weights[r]`` is run r's weight array, and row r of the (runs x t)
+    arrays ``lo``, ``stop`` and ``values`` holds the ranges
+    ``lo..stop - 1`` it measured, in order, and their measured values.
+    A run's cuts are 0, d, each ``lo`` and each ``hi + 1``,
+    duplicates kept, so every run has exactly 2t + 1 cells, some of
+    them empty.  Every range covers whole cells, so every bin of a cell
+    moves by the same factor at every step, and the refit steps the
+    cells' sums of weights of all runs as one (runs x cells) array,
+    with the steps, running mass and rescales of :func:`_mw_replay`.
+    An empty cell holds 0.0, which no step changes and which adds
+    exactly, so a run's row has the same bytes alone or in any batch.
 
-def _mw_replay_cells(
-    weights: np.ndarray, total: float, history, cuts: list, mw_iters: int
-) -> np.ndarray:
-    """:func:`_mw_replay` for a history of ranges, one float per cell.
-
-    ``cuts`` are the sorted distinct endpoints ``lo`` and ``hi + 1`` of
-    the measured ranges, with 0 and d; they cut the domain into cells,
-    at most 2t + 1 of them for t ranges.
-    Every range covers whole cells, so every bin of a cell gets the same
-    factor at every step, and the refit runs on the cells' sums of
-    weights with the same steps, running mass and rescales as the
-    per-bin refit.  At the end each bin is scaled by its cell's final
-    sum over its initial sum; a cell whose initial sum is 0 holds only
-    zero bins, which no factor changes.  Sums add in a plain loop, in
-    order, so the result does not depend on how the Python version
-    sums floats.
+    The bytes follow a one-run loop over the cells: a cell's initial
+    sum is ``np.add.reduceat`` over the run's own weights; every sum
+    adds the cells left to right (``np.cumsum``), like a Python loop;
+    every factor comes from ``math.exp``, whose bits do not depend on
+    the CPU the way ``np.exp``'s do.  At the end each bin is scaled by
+    its cell's final sum over its initial sum (a cell whose initial sum
+    is 0 holds only zero bins).  A step that overflows, or leaves no
+    mass to rescale, takes :func:`_mw_limit` instead.
     """
-    cell = {cut: k for k, cut in enumerate(cuts)}
-    steps = [(cell[support.start], cell[support.stop], value) for support, _, value in history]
-    initial = np.add.reduceat(weights, cuts[:-1])
-    sums = initial.tolist()
+    runs, d = len(weights), weights[0].size
+    ends = np.zeros((runs, 1), dtype=lo.dtype), np.full((runs, 1), d, dtype=lo.dtype)
+    cuts = np.sort(np.hstack([ends[0], lo, stop, ends[1]]), axis=1)
+    # covered[s, r, k]: step s of run r covers cell k.
+    covered = (cuts[None, :, :-1] >= lo.T[:, :, None]) & (cuts[None, :, 1:] <= stop.T[:, :, None])
+    lengths = np.diff(cuts, axis=1)
+    filled = lengths > 0
+    initial = np.zeros(lengths.shape)
+    initial[filled] = np.concatenate(
+        [np.add.reduceat(w, row[:-1][full]) for w, row, full in zip(weights, cuts, filled)]
+    )
+    sums = initial
     two_total = 2.0 * total
-    for _ in range(mw_iters):
-        sums = _scaled_to(total, sums)
-        mass = total
-        for first, stop, value in steps:
-            part = 0.0
-            for k in range(first, stop):
-                part += sums[k]
-            factor = math.exp((value - total / mass * part) / two_total)
-            for k in range(first, stop):
-                sums[k] *= factor
-            change = (factor - 1.0) * part
-            if -0.5 * mass < change < mass:
-                mass += change
-            else:
-                sums = _scaled_to(total, sums)
-                mass = total
-    lengths = np.diff(cuts)
-    # Bin over its cell's initial sum first: the sums' ratio alone can overflow.
-    weights /= np.repeat(np.where(initial > 0, initial, 1.0), lengths)
-    weights *= np.repeat(sums, lengths)
-    return weights * (total / weights.sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(mw_iters):
+            sums = _rescaled(sums, total)
+            mass = np.full(runs, total)
+            for cover, value in zip(covered, values.T):
+                part = np.cumsum(np.where(cover, sums, 0.0), axis=1)[:, -1]
+                arg = (value - total / mass * part) / two_total
+                over = None
+                try:
+                    factor = np.fromiter(map(math.exp, arg.tolist()), float, runs)
+                except OverflowError:
+                    over = arg > _EXP_MAX
+                    exps = map(math.exp, np.where(over, 0.0, arg).tolist())
+                    factor = np.fromiter(exps, float, runs)
+                stepped = np.where(cover, sums * factor[:, None], sums)
+                change = (factor - 1.0) * part
+                ok = (-0.5 * mass < change) & (change < mass)
+                if over is None and ok.all():
+                    mass += change
+                else:
+                    bad = np.zeros(runs, dtype=bool) if over is None else over
+                    mass = np.where(ok, mass + change, total)
+                    scale = total / np.cumsum(stepped[~ok], axis=1)[:, -1]
+                    stepped[~ok] *= scale[:, None]
+                    bad[~ok] |= ~((scale > 0) & (scale < math.inf))
+                    for r in np.flatnonzero(bad):
+                        stepped[r] = _mw_limit(sums[r], np.where(cover[r], arg[r], 0.0), total)
+                        mass[r] = total
+                sums = stepped
+    for w, start, final, length in zip(weights, initial, sums, lengths):
+        # Bin over its cell's initial sum first: the sums' ratio alone can overflow.
+        w /= np.repeat(np.where(start > 0, start, 1.0), length)
+        w *= np.repeat(final, length)
 
 
-def _scaled_to(total: float, sums: list) -> list:
-    """``sums`` scaled to add up to ``total``, added in a plain loop."""
-    mass = 0.0
-    for part in sums:
-        mass += part
-    scale = total / mass
-    return [part * scale for part in sums]
+def _rescaled(sums: np.ndarray, total: float) -> np.ndarray:
+    """Each row of ``sums`` scaled to add up to ``total``, added left to right."""
+    return sums * (total / np.cumsum(sums, axis=1)[:, -1])[:, None]
 
 
 def _strategy_workload(strategy: str, d: int) -> Workload:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mldp import MldpConfig, PrivacyBudget, mldp_publish
+from mldp import bench
 from mldp.bench import (
     DatasetSpec,
     ExperimentConfig,
@@ -24,7 +25,8 @@ from mldp.bench import (
 )
 from mldp.histogram import save_histogram_csv
 from mldp.learning import SELECTION_STRATEGIES, select_training_set
-from mldp.workload import _POOL_KINDS as POOL_KINDS, random_range_workload
+from mldp.seeds import derive_seed
+from mldp.workload import _POOL_KINDS as POOL_KINDS, evaluate_workload, random_range_workload
 
 SIM = DatasetSpec(d=16, max_count=100, seed=11)
 
@@ -120,6 +122,12 @@ class TestExperimentConfig:
             small_config(mechanisms=())
         with pytest.raises(ValueError, match="unknown mechanisms"):
             small_config(mechanisms=("mldp", "magic"))
+
+    def test_rejects_a_mechanism_listed_twice(self):
+        with pytest.raises(ValueError, match=r"listed more than once: \['laplace'\]"):
+            small_config(mechanisms=("laplace", "mwem", "laplace"))
+        with pytest.raises(ValueError, match=r"listed more than once: \['mwem'\]"):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "mechanisms": ["mwem"] * 2})
 
     def test_rejects_bad_sweeps_and_grids(self):
         with pytest.raises(ValueError, match="unknown sweep variable"):
@@ -458,3 +466,77 @@ def test_overlap_count_matches_row_bytes(selection, pool):
             test = random_range_workload(d, 40, seed + 100)
             want = _overlap_by_row_bytes(training, test)
             assert _overlap_count(training, test) == want, (d, seed)
+
+
+def _mwem_maes_one_by_one(config) -> list:
+    """Each trial's MWEM MAE at each grid index, by one _baseline_mae call per cell.
+
+    The seeds follow SEED_RULE: the test workload is redrawn per grid
+    point only in a test_m sweep, MWEM only in test_m and epsilon
+    sweeps.
+    """
+    hist = config.dataset.load()
+    var = config.sweep_variable
+    maes = []
+    for i, value in enumerate(config.grid):
+        at = {"test_m": config.test_m, "epsilon": config.epsilon}
+        at[var] = int(value) if var == "test_m" else value
+        row = []
+        for t in range(config.trials):
+            trial_seed = config.base_seed + t
+            test_key = ("test-workload", i) if var == "test_m" else ("test-workload",)
+            mwem_key = ("mwem", i) if var in ("test_m", "epsilon") else ("mwem",)
+            test = random_range_workload(hist.d, at["test_m"], derive_seed(trial_seed, *test_key))
+            row.append(
+                bench._baseline_mae(
+                    "mwem", test, evaluate_workload(test, hist), hist, at["epsilon"],
+                    config.rounds, derive_seed(trial_seed, *mwem_key),
+                )
+            )
+        maes.append(row)
+    return maes
+
+
+MWEM_SWEEPS = {
+    "small-epsilon": small_config(
+        mechanisms=("laplace", "mwem"), sweep_variable="epsilon", grid=(0.001, 0.01, 0.1),
+        trials=9,
+    ),
+    "test_m": small_config(mechanisms=("mwem", "strategy-hier"), grid=(5.0, 30.0, 12.0), trials=7),
+    "training_m": small_config(
+        mechanisms=("mldp", "mwem"), sweep_variable="training_m", grid=(5.0, 20.0),
+        selection="random_m", rounds=6, trials=8,
+    ),
+}
+
+
+@pytest.mark.parametrize("batch", [bench._MWEM_BATCH, 4])
+@pytest.mark.parametrize("name", sorted(MWEM_SWEEPS))
+def test_mwem_rows_match_one_run_per_cell(name, batch, monkeypatch):
+    """The queued, batched MWEM runs give each cell the MAE it has alone.
+
+    With a batch of 4 the queue runs through the engine several times
+    and once more, part full, after the last trial; no engine call
+    takes more runs than the batch.
+    """
+    config = MWEM_SWEEPS[name]
+    sizes = []
+    engine = bench._mwem_runs
+
+    def counting(hist, groups, runs, rounds):
+        sizes.append(len(runs))
+        return engine(hist, groups, runs, rounds)
+
+    monkeypatch.setattr(bench, "_MWEM_BATCH", batch)
+    monkeypatch.setattr(bench, "_mwem_runs", counting)
+    report = run_sweep(config)
+    expected = _mwem_maes_one_by_one(config)
+    for i in range(len(config.grid)):
+        assert row_of(report, "mwem", i)["trial_maes"] == expected[i]
+    queued = config.trials * (1 if config.sweep_variable == "training_m" else len(config.grid))
+    assert sum(sizes) == queued
+    assert max(sizes) <= batch
+    if config.sweep_variable == "training_m":
+        # One run per trial, shared by every grid point's row.
+        assert row_of(report, "mwem", 0) == {**row_of(report, "mwem", 1), "grid_index": 0,
+                                              "grid_value": config.grid[0]}

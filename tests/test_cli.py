@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,6 +296,42 @@ class TestBench:
         rc = main(["bench", self.bench_config(tmp_path), "--out", str(tmp_path / "r.txt")])
         assert rc == 2
         assert "unknown report format" in capsys.readouterr().err
+
+    def test_rejects_an_unknown_report_extension_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("mldp.cli.run_sweep", no_sweep)
+        rc = main(["bench", self.bench_config(tmp_path), "--out", str(tmp_path / "r.jsn")])
+        assert rc == 2
+        assert "unknown report format 'jsn'" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsn").exists()
+
+    def test_rejects_a_mechanism_listed_twice(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        config = self.bench_config(tmp_path, mechanisms=["laplace", "mwem", "laplace"])
+        assert main(["bench", config, "--out", str(out)]) == 2
+        assert "mechanisms listed more than once: ['laplace']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mwem_at_extreme_noise_writes_finite_maes(self, tmp_path):
+        # Noise of scale 20 000 against 4 bins of at most 4 records.
+        config = self.bench_config(
+            tmp_path,
+            dataset={"simulated": {"d": 4, "max_count": 4, "seed": 1}},
+            mechanisms=["mwem"],
+            sweep_variable="epsilon",
+            grid=[0.001],
+            test_m=20,
+            trials=20,
+        )
+        out = tmp_path / "r.json"
+        assert main(["bench", config, "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert len(row["trial_maes"]) == 20
+        assert all(math.isfinite(v) for v in row["trial_maes"])
 
     def test_rejects_non_object_config(self, capsys, tmp_path):
         p = tmp_path / "bench.json"

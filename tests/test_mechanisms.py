@@ -410,10 +410,26 @@ def _random_rows(kind: str, d: int, m: int, rng) -> Workload:
     return Workload(d, queries)
 
 
+def _refit(weights, total, workload, rows, values, mw_iters):
+    """The engine's refit of one run that measured ``rows``; returns its bins.
+
+    While every measured row is a range the engine refits on cells;
+    otherwise it steps the bins.
+    """
+    if all(workload._kinds[i] == "range" for i in rows):
+        lo = np.array([[workload._lo[i] for i in rows]])
+        stop = np.array([[workload._hi[i] + 1 for i in rows]])
+        mechanisms._mw_refit_cells([weights], total, lo, stop, np.array([values]), mw_iters)
+    else:
+        history = [(*mechanisms._mw_support(workload, i), v) for i, v in zip(rows, values)]
+        mechanisms._mw_replay(weights, total, history, mw_iters)
+    return mechanisms._mw_bins(weights, total)
+
+
 def _replay_both(kind, rounds, mw_iters, noise_scale, seed=0):
     """Run MWEM's refit schedule (history grows by one entry per round) both ways.
 
-    Yields the replay's bins and the dense reference's bins after each
+    Yields the refit's bins and the dense reference's bins after each
     round, plus the true total.
     """
     rng = np.random.default_rng(seed)
@@ -424,11 +440,10 @@ def _replay_both(kind, rounds, mw_iters, noise_scale, seed=0):
     values = evaluate_workload(workload, hist) + rng.laplace(0.0, noise_scale, rounds)
     weights = np.full(d, total / d)
     dense = weights.copy()
-    history, rows = [], []
+    rows = []
     for t in range(rounds):
-        history.append((*mechanisms._mw_support(workload, t), values[t]))
         rows.append((workload.matrix[t], values[t]))
-        bins = mechanisms._mw_replay(weights, total, history, mw_iters)
+        bins = _refit(weights, total, workload, range(t + 1), values[: t + 1], mw_iters)
         dense = _dense_mw_replay(dense, total, rows, mw_iters)
         yield bins, dense, total
 
@@ -463,28 +478,60 @@ def test_mw_replay_survives_measurements_far_off_the_total(kind, seed):
         assert abs(bins.sum() - total) <= 1e-9
 
 
+def test_mwem_at_extreme_noise_takes_the_update_limit():
+    # At epsilon 0.001 the measurement noise (scale 20 000) dwarfs the
+    # total of 10, so the factors of most runs' steps leave the float
+    # range, or leave no mass to rescale.
+    workload, hist = random_range_workload(4, 20, seed=1), Histogram([3, 1, 4, 2])
+    for seed in range(20):
+        synthetic, answers = mwem_publish(workload, hist, 0.001, rounds=10, seed=seed)
+        assert np.isfinite(synthetic.bins).all(), seed
+        assert synthetic.bins.min() >= 0, seed
+        assert abs(synthetic.bins.sum() - 10.0) <= 1e-9, seed
+        assert np.isfinite(answers).all(), seed
+
+
+def test_mwem_at_extreme_noise_on_the_bins_takes_the_update_limit():
+    # The same noise on a workload with subset and general rows, which
+    # the refit steps bin by bin.
+    rng = np.random.default_rng(5)
+    hist = Histogram([3, 1, 4, 2])
+    for seed in range(10):
+        workload = _random_rows("mixed", 4, 6, rng)
+        synthetic, answers = mwem_publish(workload, hist, 0.001, rounds=10, seed=seed)
+        assert np.isfinite(synthetic.bins).all(), seed
+        assert synthetic.bins.min() >= 0, seed
+        assert abs(synthetic.bins.sum() - 10.0) <= 1e-9, seed
+        assert np.isfinite(answers).all(), seed
+
+
+def test_mw_limit_moves_the_mass_to_the_winning_side():
+    weights = np.array([1.0, 3.0, 0.0, 4.0])
+    covered = np.array([0.0, 800.0, 800.0, 0.0])
+    # Onto the covered bins that hold mass, off them, or nowhere new.
+    np.testing.assert_array_equal(mechanisms._mw_limit(weights, covered, 6.0), [0, 6, 0, 0])
+    np.testing.assert_array_equal(mechanisms._mw_limit(weights, -covered, 10.0), [2, 0, 0, 8])
+    alone = np.array([0.0, 2.0, 2.0, 0.0])
+    np.testing.assert_array_equal(mechanisms._mw_limit(alone, -covered, 8.0), [0, 4, 4, 0])
+    # A general row: the bins with the largest exponent win.
+    np.testing.assert_array_equal(
+        mechanisms._mw_limit(weights, np.array([-900.0, 700.0, 0.0, 700.0]), 14.0), [0, 6, 0, 8]
+    )
+
+
 def _per_bin_mw_replay(weights, total, history, mw_iters):
-    """Reference for ``_mw_replay``'s cells: every step scales the bins of its support."""
-    steps = [
-        (weights[support] if coeffs is None else support, coeffs, value)
-        for support, coeffs, value in history
-    ]
+    """Reference for the cell refit: every step scales the bins of its range."""
+    steps = [(weights[support], value) for support, _, value in history]
     two_total = 2.0 * total
     for _ in range(mw_iters):
         weights *= total / weights.sum()
         mass = total
-        for target, coeffs, value in steps:
+        for target, value in steps:
             scale = total / mass
-            if coeffs is None:
-                part = target.sum()
-                factor = math.exp((value - scale * part) / two_total)
-                target *= factor
-                change = (factor - 1.0) * part
-            else:
-                old = weights[target]
-                new = old * np.exp(coeffs * ((value - scale * (coeffs @ old)) / two_total))
-                weights[target] = new
-                change = new.sum() - old.sum()
+            part = target.sum()
+            factor = math.exp((value - scale * part) / two_total)
+            target *= factor
+            change = (factor - 1.0) * part
             if -0.5 * mass < change < mass:
                 mass += change
             else:
@@ -493,61 +540,126 @@ def _per_bin_mw_replay(weights, total, history, mw_iters):
     return weights * (total / weights.sum())
 
 
-def _mwem_with(replay, monkeypatch, test, hist, epsilon, seed, rounds=10):
-    """mwem_publish's answers with ``replay`` as its refit, and the ranges it measured."""
-    measured = []
+def _python_cell_refit(weights, total, history, mw_iters):
+    """Reference for the lockstep refit's bytes: one run's cells in Python floats.
 
-    def recording(weights, total, history, mw_iters):
+    The cuts are the distinct endpoints, each cell's initial sum an
+    ``np.add.reduceat`` over the weights, and every sum a plain loop.
+    """
+    cuts = sorted({0, weights.size} | {b for s, _, _ in history for b in (s.start, s.stop)})
+    cell = {cut: k for k, cut in enumerate(cuts)}
+    steps = [(cell[s.start], cell[s.stop], value) for s, _, value in history]
+    initial = np.add.reduceat(weights, cuts[:-1])
+
+    def scaled(sums):
+        mass = 0.0
+        for part in sums:
+            mass += part
+        return [part * (total / mass) for part in sums]
+
+    sums = initial.tolist()
+    for _ in range(mw_iters):
+        sums = scaled(sums)
+        mass = total
+        for first, stop, value in steps:
+            part = 0.0
+            for k in range(first, stop):
+                part += sums[k]
+            factor = math.exp((value - total / mass * part) / (2.0 * total))
+            for k in range(first, stop):
+                sums[k] *= factor
+            change = (factor - 1.0) * part
+            if -0.5 * mass < change < mass:
+                mass += change
+            else:
+                sums = scaled(sums)
+                mass = total
+    lengths = np.diff(cuts)
+    weights /= np.repeat(np.where(initial > 0, initial, 1.0), lengths)
+    weights *= np.repeat(sums, lengths)
+
+
+def test_lockstep_refit_has_the_bytes_of_one_run_in_python_floats():
+    # Runs of one batch share their step count; their domains, ranges,
+    # noise and refit histories differ, some with repeated endpoints,
+    # some with noise large enough to rescale most steps.
+    rng = np.random.default_rng(11)
+    for d, t in ((1, 3), (2, 5), (7, 4), (128, 10), (512, 40)):
+        hist = generate_simulated_histogram(d, 1000, seed=d)
+        total = hist.total
+        lo = rng.integers(0, d, (30, t))
+        stop = np.maximum(lo, rng.integers(0, d, (30, t))) + 1
+        truth = np.array([[hist.bins[a:b].sum() for a, b in zip(*row)] for row in zip(lo, stop)])
+        scales = np.repeat([1.0, 30.0, 3.0 * total], 10)[:, None]
+        values = truth + rng.laplace(0.0, 1.0, (30, t)) * scales
+        batch = [np.full(d, total / d) for _ in range(30)]
+        mechanisms._mw_refit_cells(batch, total, lo, stop, values, 20)
+        for r in range(30):
+            alone = np.full(d, total / d)
+            history = [(slice(a, b), None, v) for a, b, v in zip(lo[r], stop[r], values[r])]
+            _python_cell_refit(alone, total, history, 20)
+            np.testing.assert_array_equal(batch[r], alone)
+
+
+_CELL_REFIT = mechanisms._mw_refit_cells
+
+
+def _cell_refit(weights, total, history, mw_iters):
+    """The engine's lockstep refit, run on one run's ``(slice, None, measured)`` history."""
+    lo = np.array([[support.start for support, _, _ in history]])
+    stop = np.array([[support.stop for support, _, _ in history]])
+    values = np.array([[value for _, _, value in history]])
+    _CELL_REFIT([weights], total, lo, stop, values, mw_iters)
+
+
+def _mwem_with(refit, monkeypatch, test, hist, epsilon, seed, rounds=10):
+    """mwem_publish's answers with ``refit`` as its cell refit, and the ranges it measured.
+
+    ``refit`` takes one run's weights, the total, its ``(slice, None,
+    measured)`` history and the passes, and refits the weights in
+    place, as :func:`_per_bin_mw_replay` and :func:`_cell_refit` do.
+    Fails unless mwem_publish refit through it once every round.
+    """
+    measured, sizes = [], []
+
+    def one_run(weights, total, lo, stop, values, mw_iters):
+        (run_weights,) = weights
+        history = [(slice(*bounds), None, value) for *bounds, value in zip(*lo, *stop, *values)]
         measured[:] = [(support, value) for support, _, value in history]
-        return replay(weights, total, history, mw_iters)
+        sizes.append(len(history))
+        refit(run_weights, total, history, mw_iters)
 
-    monkeypatch.setattr(mechanisms, "_mw_replay", recording)
+    monkeypatch.setattr(mechanisms, "_mw_refit_cells", one_run)
     _, answers = mwem_publish(test, hist, epsilon, rounds=rounds, seed=seed)
+    assert sizes == list(range(1, rounds + 1))
     return answers, measured
 
 
-def _count_cell_refits(monkeypatch) -> list:
-    """Record the cell count of every refit that runs on cells."""
-    counts = []
-    cells = mechanisms._mw_replay_cells
-
-    def counting(weights, total, history, cuts, mw_iters):
-        counts.append(len(cuts) - 1)
-        return cells(weights, total, history, cuts, mw_iters)
-
-    monkeypatch.setattr(mechanisms, "_mw_replay_cells", counting)
-    return counts
-
-
-@pytest.mark.parametrize("past_the_limit", [False, True])
-def test_mw_replay_takes_cells_up_to_the_limit(past_the_limit, monkeypatch):
+@pytest.mark.parametrize("cells", [80, 81])
+def test_cell_refit_matches_the_per_bin_refit_at_80_and_81_cells(cells):
     # One-bin ranges over the first n of 128 bins cut them into n + 1 cells.
-    limit = mechanisms._MAX_REFIT_CELLS
-    n = limit if past_the_limit else limit - 1
+    n = cells - 1
     hist = generate_simulated_histogram(128, 100, seed=4)
     total = hist.total
     noise = np.random.default_rng(4).laplace(0.0, 20.0, n)
     history = [(slice(k, k + 1), None, hist.bins[k] + noise[k]) for k in range(n)]
-    counts = _count_cell_refits(monkeypatch)
-    bins = mechanisms._mw_replay(np.full(128, total / 128), total, history, 20)
+    weights = np.full(128, total / 128)
+    _cell_refit(weights, total, history, 20)
     expected = _per_bin_mw_replay(np.full(128, total / 128), total, history, 20)
-    if past_the_limit:
-        assert counts == []
-        np.testing.assert_array_equal(bins, expected)
-    else:
-        assert counts == [limit]
-        np.testing.assert_allclose(bins, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mechanisms._mw_bins(weights, total), expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+# At epsilon 2e-4 the measurement noise (scale 1e5 over 10 rounds) is
+# larger than the acceptance-07 histogram's total of about 67 000, so
+# many steps move the mass by more than a factor of two and rescale.
+@pytest.mark.parametrize("epsilon", [2e-4, 0.1, 0.5, 1.0])
 def test_mwem_on_cells_matches_the_per_bin_refit(epsilon, monkeypatch):
     # The acceptance-07 sweep's histogram, test size and rounds.
     hist = generate_simulated_histogram(128, 1000, seed=7)
-    cells = mechanisms._mw_replay
     for trial in range(3):
         test = random_range_workload(128, 500, seed=derive_seed(trial, "test"))
         seed = derive_seed(trial, "mwem")
-        answers, measured = _mwem_with(cells, monkeypatch, test, hist, epsilon, seed)
+        answers, measured = _mwem_with(_cell_refit, monkeypatch, test, hist, epsilon, seed)
         expected, expected_measured = _mwem_with(
             _per_bin_mw_replay, monkeypatch, test, hist, epsilon, seed
         )
@@ -555,23 +667,59 @@ def test_mwem_on_cells_matches_the_per_bin_refit(epsilon, monkeypatch):
         np.testing.assert_allclose(answers, expected, rtol=1e-12, atol=0)
 
 
-def test_mwem_past_the_cell_limit_matches_the_per_bin_refit(monkeypatch):
-    # 60 rounds at d=512 cut more than the limit's cells within the run,
-    # so the refit moves from the cells to the bins part of the way in.
+@pytest.mark.parametrize("epsilon", [1e-4, 0.5])
+def test_mwem_past_the_cell_limit_matches_the_per_bin_refit(epsilon, monkeypatch):
+    # 60 rounds at d=512 cut more than 80 cells, where the refit used to
+    # move from the cells to the bins; at epsilon 1e-4 the noise (scale
+    # 1.2e6) is larger than the total and many steps rescale.
     hist = generate_simulated_histogram(512, 1000, seed=7)
     test = random_range_workload(512, 500, seed=derive_seed(0, "test"))
     seed = derive_seed(0, "mwem")
-    counts = _count_cell_refits(monkeypatch)
-    answers, measured = _mwem_with(
-        mechanisms._mw_replay, monkeypatch, test, hist, 0.5, seed, rounds=60
-    )
-    assert 0 < len(counts) < 60
-    assert max(counts) <= mechanisms._MAX_REFIT_CELLS
+    answers, measured = _mwem_with(_cell_refit, monkeypatch, test, hist, epsilon, seed, 60)
+    assert len({cut for support, _ in measured for cut in (support.start, support.stop)}) > 81
     expected, expected_measured = _mwem_with(
-        _per_bin_mw_replay, monkeypatch, test, hist, 0.5, seed, rounds=60
+        _per_bin_mw_replay, monkeypatch, test, hist, epsilon, seed, 60
     )
     assert measured == expected_measured
     np.testing.assert_allclose(answers, expected, rtol=1e-12, atol=0)
+
+
+def _engine_group(workload, hist, as_bounds):
+    """An engine workload: the Workload itself, or its range bounds as int32 arrays."""
+    truth = evaluate_workload(workload, hist)
+    if not as_bounds:
+        return workload, truth
+    return (np.array(workload._lo, dtype=np.int32), np.array(workload._hi, dtype=np.int32)), truth
+
+
+def test_engine_batch_gives_every_run_its_bytes_alone():
+    hist = generate_simulated_histogram(16, 100, seed=2)
+    rng = np.random.default_rng(3)
+    workloads = [
+        random_range_workload(16, 30, seed=1),
+        random_range_workload(16, 7, seed=2),
+        _random_rows("mixed", 16, 9, rng),
+        random_range_workload(16, 50, seed=3),
+    ]
+    groups = [
+        _engine_group(w, hist, as_bounds=g in (1, 3)) for g, w in enumerate(workloads)
+    ]
+    runs = []
+    for k in range(24):
+        group, epsilon, seed = k % 4, (0.001, 0.3, 1.0, 5.0)[k % 3], 100 + k
+        runs.append((group, epsilon, seed, PrivacyBudget(epsilon), None))
+    results = {
+        k: (bins, matrix @ bins)
+        for k, bins, matrix in mechanisms._mwem_runs(hist, groups, runs, rounds=6)
+    }
+    assert sorted(results) == list(range(24))
+    for k, (group, epsilon, seed, budget, _) in enumerate(runs):
+        alone = PrivacyBudget(epsilon)
+        synthetic, answers = mwem_publish(workloads[group], hist, epsilon, 6, seed, budget=alone)
+        bins, batch_answers = results[k]
+        np.testing.assert_array_equal(bins, synthetic.bins)
+        np.testing.assert_array_equal(batch_answers, answers)
+        assert budget.ledger == alone.ledger
 
 
 class TestStrategyMechanism:
