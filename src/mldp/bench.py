@@ -263,8 +263,8 @@ def _run_mwem_queue(queue: list, hist: Histogram, rounds: int) -> None:
             position[id(rows)] = len(groups)
             groups.append(rows)
         runs.append((position[id(rows)], epsilon, seed, PrivacyBudget(epsilon), None))
-    for k, bins, matrix in _mwem_runs(hist, groups, runs, rounds):
-        queue[k][0].value = mae(matrix @ bins, groups[runs[k][0]][1])
+    for k, _, answers in _mwem_runs(hist, groups, runs, rounds):
+        queue[k][0].value = mae(answers, groups[runs[k][0]][1])
     queue.clear()
 
 

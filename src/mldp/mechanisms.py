@@ -242,12 +242,11 @@ def mwem_publish(
         bins_j <- bins_j * exp(coeffs[j] * (measured - estimate) / (2 * total))
 
     with the bins held to the true total, which keeps them positive.
-    While every measured query is a range, the refit steps one sum per
-    cell of the domain the measured ranges cut (see
-    :func:`_mw_refit_cells`); once a subset or general row is measured
-    it steps the bins (see :func:`_mw_replay`).  A step whose factor
-    leaves the float range takes the update's limit instead, which can
-    leave bins at 0 (see :func:`_mw_limit`).  The refit only
+    The refit steps atoms, blocks of adjacent bins with equal
+    coefficients in every measured query, which move together (see
+    :func:`_mw_refit`): at most 2t + 1 after t ranges.  A step whose
+    factor leaves the float range takes the update's limit instead,
+    which can leave bins at 0 (see :func:`_mw_limit`).  The refit only
     post-processes released measurements.  Returns the final synthetic
     histogram and its answers to the workload.
 
@@ -272,17 +271,14 @@ def mwem_publish(
         budget = PrivacyBudget(epsilon)
     truth = evaluate_workload(workload, hist)
     runs = [(0, epsilon, seed, budget, on_round)]
-    ((_, bins, _),) = _mwem_runs(hist, [(workload, truth)], runs, rounds, mw_iters)
-    synthetic = Histogram(bins)
-    return synthetic, evaluate_workload(workload, synthetic)
+    ((_, bins, answers),) = _mwem_runs(hist, [(workload, truth)], runs, rounds, mw_iters)
+    return Histogram(bins), answers
 
 
 class _MwemRun:
-    """One run's noise, budget and weights inside :func:`_mwem_runs`."""
+    """One run's noise and budget inside :func:`_mwem_runs`."""
 
-    __slots__ = (
-        "budget", "on_round", "rng", "eps_round", "select_epsilon", "scale", "weights", "history"
-    )
+    __slots__ = ("budget", "on_round", "rng", "eps_round", "select_epsilon", "scale")
 
 
 def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters: int = 20):
@@ -299,14 +295,11 @@ def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters:
     picks, measurements and charges do not depend on the other runs.
 
     Each round scores, picks and measures every run group by group,
-    then refits all runs whose measured queries are ranges in one
-    lockstep :func:`_mw_refit_cells` and every other run with
-    :func:`_mw_replay`.  A run holds its weights (d floats) and its
-    measurements, the ranges' bounds and values in three (runs x
-    rounds) arrays; its bins are formed from the weights when they are
-    scored.  After the last round the engine yields ``(run index,
-    bins, matrix)`` for each run, group by group; ``matrix`` is the
-    run's workload matrix, valid until the next item.
+    splits each run's atoms by the row it picked, whatever its kind
+    (:class:`_MwAtoms`), and refits all runs in one :func:`_mw_refit`.
+    The runs' weights are one (runs x d) array.  After the last round
+    the engine yields ``(run index, bins, answers)`` for each run,
+    group by group, with ``answers`` its workload matrix times its bins.
     """
     total, d = hist.total, hist.d
     if total <= 0:
@@ -342,14 +335,12 @@ def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters:
         # An all-zero workload reads no data: its selection is the argmax.
         run.select_epsilon = run.eps_round / sensitivity if sensitivity > 0 else math.inf
         run.scale = _noise_scale(sensitivity, run.eps_round)
-        run.weights = np.full(d, total / d)
-        run.history = None  # until it measures a subset or general row
         states.append(run)
         members[g].append(k)
-    # A range measured by run k in round t: its cuts and its value.
-    starts = np.zeros((len(runs), rounds), dtype=np.int64)
-    stops = np.zeros((len(runs), rounds), dtype=np.int64)
-    values = np.zeros((len(runs), rounds))
+    weights = np.full((len(runs), d), total / d)
+    atoms = _MwAtoms(len(runs), d)
+    picked = np.empty((len(runs), d))  # the row each run picks in a round
+    values = np.zeros((len(runs), rounds))  # the value run k measured in round t
 
     for t in range(rounds):
         # One label object per round, shared by every run's ledger.
@@ -358,42 +349,27 @@ def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters:
             if not ks:
                 continue
             matrix = matrix_of(workload)
-            lo, hi = (workload._lo, workload._hi) if isinstance(workload, Workload) else workload
             for k in ks:
                 run = states[k]
-                bins = run.weights if t == 0 else _mw_bins(run.weights, total)
+                bins = weights[k] if t == 0 else _mw_bins(weights[k], total)
                 scores = np.abs(matrix @ bins - truth)
                 run.budget.charge(select, run.eps_round)
-                picked = _exponential_mechanism(scores, run.select_epsilon, run.rng)
+                i = _exponential_mechanism(scores, run.select_epsilon, run.rng)
                 run.budget.charge(measure, run.eps_round)
-                measured = truth[picked] + _laplace_noise(run.scale, 1, run.rng)[0]
-                if run.history is None and lo[picked] is not None:
-                    starts[k, t], stops[k, t], values[k, t] = lo[picked], hi[picked] + 1, measured
-                    continue
-                if run.history is None:  # its first subset or general row
-                    run.history = [
-                        (np.arange(start, stop), np.ones(stop - start), value)
-                        for start, stop, value in zip(starts[k, :t], stops[k, :t], values[k, :t])
-                    ]
-                run.history.append((*_mw_support(workload, picked), measured))
-        on_cells = [k for k, run in enumerate(states) if run.history is None]
-        if on_cells:
-            measured_so_far = np.s_[on_cells, : t + 1]
-            _mw_refit_cells(
-                [states[k].weights for k in on_cells], total, starts[measured_so_far],
-                stops[measured_so_far], values[measured_so_far], mw_iters,
-            )
-        for run in states:
-            if run.history is not None:
-                _mw_replay(run.weights, total, run.history, mw_iters)
+                values[k, t] = truth[i] + _laplace_noise(run.scale, 1, run.rng)[0]
+                picked[k] = matrix[i]
+        atoms.split(picked)
+        _mw_refit(weights, atoms, values[:, : t + 1], total, mw_iters)
+        for k, run in enumerate(states):
             if run.on_round is not None:
-                run.on_round(t, _mw_bins(run.weights, total))
+                run.on_round(t, _mw_bins(weights[k], total))
 
     for (workload, _), ks in zip(groups, members):
         if ks:
             matrix = matrix_of(workload)
             for k in ks:
-                yield k, _mw_bins(states[k].weights, total), matrix
+                bins = _mw_bins(weights[k], total)
+                yield k, bins, matrix @ bins
 
 
 def _mw_bins(weights: np.ndarray, total: float) -> np.ndarray:
@@ -401,11 +377,59 @@ def _mw_bins(weights: np.ndarray, total: float) -> np.ndarray:
     return weights * (total / np.add.reduce(weights))
 
 
-def _mw_support(workload: Workload, i: int) -> tuple:
-    """The nonzero bins of query ``i`` and their coefficients."""
-    row = workload.matrix[i]
-    support = np.flatnonzero(row)
-    return support, row[support]
+class _MwAtoms:
+    """The rows a batch of MWEM runs measured, as atoms and levels.
+
+    An atom of a run is a maximal block of adjacent bins with equal
+    coefficients in every row the run measured; for ranges, a nonempty
+    cell of their endpoints.  ``starts[r, j]`` tells whether bin j
+    starts an atom of run r, and ``sizes[r]`` counts its atoms.  The
+    distinct nonzero coefficients of a row are its levels, one for a
+    0/1 row: ``coefs[s, l, r]`` is level l of run r's step s (0.0 past
+    its levels), and ``slots[s][r, a]`` is ``(l + 1) * runs + r`` for
+    atom a of level l, or r for an atom of coefficient 0 or past the
+    run's atoms.
+    """
+
+    __slots__ = ("starts", "sizes", "slots", "coefs")
+
+    def __init__(self, runs: int, d: int):
+        self.starts = np.zeros((runs, d), dtype=bool)
+        self.starts[:, 0] = True
+        self.sizes = np.ones(runs, dtype=np.intp)
+        self.slots, self.coefs = [], np.zeros((0, 1, runs))
+
+    def split(self, rows: np.ndarray) -> None:
+        """Split each run's atoms by the next row it measured: ``rows[r]`` for run r."""
+        runs = len(rows)
+        parent = np.cumsum(self.starts, axis=1, dtype=np.int32) - 1  # the old atoms
+        self.starts[:, 1:] |= rows[:, 1:] != rows[:, :-1]  # -0.0 and 0.0 are one coefficient
+        run, first = np.nonzero(self.starts)  # each atom's run and first bin, in order
+        self.sizes = np.bincount(run, minlength=runs)
+        atom = np.arange(run.size) - (np.cumsum(self.sizes) - self.sizes)[run]
+        parent, value = parent[run, first], rows[run, first]
+
+        # Number each run's distinct nonzero coefficients: its levels.
+        by_value = np.lexsort((value, run))
+        value, owner = value[by_value], run[by_value]
+        new = np.ones(value.size, dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (value[1:] != value[:-1])
+        new &= value != 0
+        counts = np.bincount(owner[new], minlength=runs)
+        level = np.cumsum(new) - 1 - (np.cumsum(counts) - counts)[owner]
+        level[value == 0] = -1
+
+        blank = np.repeat(np.arange(runs)[:, None], self.sizes.max(), axis=1)
+        for s, slot in enumerate(self.slots):
+            self.slots[s] = blank.copy()
+            self.slots[s][run, atom] = slot[run, parent]
+        blank[owner, atom[by_value]] = (level + 1) * runs + owner
+        self.slots.append(blank)
+        steps, width = self.coefs.shape[:2]
+        coefs = np.zeros((steps + 1, max(width, counts.max()), runs))
+        coefs[:steps, :width] = self.coefs
+        coefs[steps, level[new], owner[new]] = value[new]
+        self.coefs = coefs
 
 
 # The largest argument math.exp takes: log of the largest float.
@@ -427,128 +451,92 @@ def _mw_limit(weights: np.ndarray, exponents: np.ndarray, total: float) -> np.nd
     return kept / kept.sum() * total
 
 
-def _mw_replay(weights: np.ndarray, total: float, history, mw_iters: int) -> None:
-    """Refit ``weights`` in place to a history that holds a subset or general row.
-
-    ``history`` holds ``(support, coeffs, measured)`` entries from
-    :func:`_mw_support`.  Each of the ``mw_iters`` passes replays every
-    entry once, in order, with the update of :func:`mwem_publish`.
-
-    The bins are ``s * weights`` with ``s = total / mass`` and ``mass``
-    the running sum of the weights, so a step multiplies only its
-    query's support by ``exp(coeffs * delta)`` and adds the change of
-    the support's sum to the mass.  Each pass starts by scaling the
-    weights back to the true total, so the running sum's rounding error
-    cannot build up across passes and the weights cannot drift out of
-    the float range.  A step that would move the mass by more than a
-    factor of two rescales the same way, since its running sum would
-    cancel badly.  A step that overflows, or leaves no mass to rescale,
-    takes :func:`_mw_limit` instead.
-    """
-    two_total = 2.0 * total
-    add = np.add.reduce  # ndarray.sum without its Python-level wrapper
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(mw_iters):
-            weights *= total / add(weights)
-            mass = total
-            for support, coeffs, value in history:
-                old = weights[support]
-                exponents = coeffs * ((value - total / mass * (coeffs @ old)) / two_total)
-                new = old * np.exp(exponents)
-                weights[support] = new
-                change = add(new) - add(old)
-                if -0.5 * mass < change < mass:
-                    mass += change
-                    continue
-                scale = total / add(weights)
-                if 0 < scale < math.inf:
-                    weights *= scale
-                else:
-                    weights[support] = old
-                    full = np.zeros(weights.size)
-                    full[support] = exponents
-                    weights[:] = _mw_limit(weights, full, total)
-                mass = total
-
-
-def _mw_refit_cells(
-    weights: list, total: float, lo: np.ndarray, stop: np.ndarray, values: np.ndarray,
-    mw_iters: int,
+def _mw_refit(
+    weights: np.ndarray, atoms: _MwAtoms, values: np.ndarray, total: float, mw_iters: int
 ) -> None:
-    """Refit runs whose measured queries are all ranges, in lockstep, in place.
+    """Refit the (runs x d) ``weights`` in place to the runs' measurements, in lockstep.
 
-    ``weights[r]`` is run r's weight array, and row r of the (runs x t)
-    arrays ``lo``, ``stop`` and ``values`` holds the ranges
-    ``lo..stop - 1`` it measured, in order, and their measured values.
-    A run's cuts are 0, d, each ``lo`` and each ``hi + 1``,
-    duplicates kept, so every run has exactly 2t + 1 cells, some of
-    them empty.  Every range covers whole cells, so every bin of a cell
-    moves by the same factor at every step, and the refit steps the
-    cells' sums of weights of all runs as one (runs x cells) array,
-    with the steps, running mass and rescales of :func:`_mw_replay`.
-    An empty cell holds 0.0, which no step changes and which adds
-    exactly, so a run's row has the same bytes alone or in any batch.
+    Run r measured the rows ``atoms`` holds and the values in row r of
+    ``values``, in order.  All bins of an atom move by the same factor
+    at every step, so the refit steps the atoms' sums of weights of all
+    runs as one (runs x atoms) array, and at the end scales each bin by
+    its atom's final sum over its initial sum (an atom whose initial
+    sum is 0 holds only zero bins).  Each of the ``mw_iters`` passes
+    replays every step once, in order, with the update of
+    :func:`mwem_publish`: the bins are ``sums * total / mass``, with
+    ``mass`` the running sum of the sums; a step adds up the atoms of
+    each level c (``part``), estimates its query as the sum of c *
+    part, multiplies the atoms of level c by exp(c * delta) and adds
+    the sum of (factor - 1) * part to the mass.  Each pass starts by
+    scaling the sums back to the true total, so the running mass's
+    rounding error cannot build up.  A step that would move the mass
+    by more than a factor of two rescales the same way, since its
+    running sum would cancel badly.  A step that overflows, or leaves
+    no mass to rescale, takes :func:`_mw_limit` instead.
 
-    The bytes follow a one-run loop over the cells: a cell's initial
-    sum is ``np.add.reduceat`` over the run's own weights; every sum
-    adds the cells left to right (``np.cumsum``), like a Python loop;
-    every factor comes from ``math.exp``, whose bits do not depend on
-    the CPU the way ``np.exp``'s do.  At the end each bin is scaled by
-    its cell's final sum over its initial sum (a cell whose initial sum
-    is 0 holds only zero bins).  A step that overflows, or leaves no
-    mass to rescale, takes :func:`_mw_limit` instead.
+    The bytes follow a one-run loop over the atoms: an atom's initial
+    sum is ``np.add.reduceat`` over its bins; every other sum adds left
+    to right (``np.bincount``, ``np.cumsum``), so the atoms and levels
+    past a run's own hold 0.0, which adds exactly, and a run has the
+    same bytes alone or in any batch; every factor comes from
+    ``math.exp``, whose bits do not depend on the CPU the way
+    ``np.exp``'s do.
     """
-    runs, d = len(weights), weights[0].size
-    ends = np.zeros((runs, 1), dtype=lo.dtype), np.full((runs, 1), d, dtype=lo.dtype)
-    cuts = np.sort(np.hstack([ends[0], lo, stop, ends[1]]), axis=1)
-    # covered[s, r, k]: step s of run r covers cell k.
-    covered = (cuts[None, :, :-1] >= lo.T[:, :, None]) & (cuts[None, :, 1:] <= stop.T[:, :, None])
-    lengths = np.diff(cuts, axis=1)
-    filled = lengths > 0
-    initial = np.zeros(lengths.shape)
-    initial[filled] = np.concatenate(
-        [np.add.reduceat(w, row[:-1][full]) for w, row, full in zip(weights, cuts, filled)]
-    )
-    sums = initial
+    runs, d = weights.shape
+    firsts = np.flatnonzero(atoms.starts)  # each atom's first bin, as run * d + bin
+    run = firsts // d
+    atom = run, np.arange(run.size) - (np.cumsum(atoms.sizes) - atoms.sizes)[run]
+    initial = np.zeros((runs, atoms.sizes.max()))
+    initial[atom] = np.add.reduceat(weights.ravel(), firsts)
+    sums, width = initial, atoms.coefs.shape[1]
+    # factors[(l + 1) * runs + r] is level l's factor in run r; 1.0 for coefficient 0.
+    factors = np.ones((width + 1) * runs)
+    level_factors = factors[runs:].reshape(width, runs)
     two_total = 2.0 * total
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(mw_iters):
-            sums = _rescaled(sums, total)
+            sums = sums * (total / _sum(sums, 1))[:, None]
             mass = np.full(runs, total)
-            for cover, value in zip(covered, values.T):
-                part = np.cumsum(np.where(cover, sums, 0.0), axis=1)[:, -1]
-                arg = (value - total / mass * part) / two_total
+            for slot, coef, value in zip(atoms.slots, atoms.coefs, values.T):
+                part = np.bincount(slot.ravel(), sums.ravel(), factors.size)
+                part = part[runs:].reshape(width, runs)
+                arg = (value - total / mass * _sum(coef * part, 0)) / two_total
+                exponents = coef * arg
                 over = None
                 try:
-                    factor = np.fromiter(map(math.exp, arg.tolist()), float, runs)
+                    exps = map(math.exp, exponents.ravel().tolist())
+                    factors[runs:] = np.fromiter(exps, float, width * runs)
                 except OverflowError:
-                    over = arg > _EXP_MAX
-                    exps = map(math.exp, np.where(over, 0.0, arg).tolist())
-                    factor = np.fromiter(exps, float, runs)
-                stepped = np.where(cover, sums * factor[:, None], sums)
-                change = (factor - 1.0) * part
+                    over = (exponents > _EXP_MAX).any(axis=0)
+                    exps = map(math.exp, np.where(over, 0.0, exponents).ravel().tolist())
+                    factors[runs:] = np.fromiter(exps, float, width * runs)
+                stepped = sums * factors[slot]
+                change = _sum((level_factors - 1.0) * part, 0)
                 ok = (-0.5 * mass < change) & (change < mass)
                 if over is None and ok.all():
                     mass += change
                 else:
                     bad = np.zeros(runs, dtype=bool) if over is None else over
                     mass = np.where(ok, mass + change, total)
-                    scale = total / np.cumsum(stepped[~ok], axis=1)[:, -1]
+                    scale = total / _sum(stepped[~ok], 1)
                     stepped[~ok] *= scale[:, None]
                     bad[~ok] |= ~((scale > 0) & (scale < math.inf))
                     for r in np.flatnonzero(bad):
-                        stepped[r] = _mw_limit(sums[r], np.where(cover[r], arg[r], 0.0), total)
+                        own = np.s_[r, : atoms.sizes[r]]
+                        exponent = np.append(np.zeros(runs), exponents)[slot[own]]
+                        stepped[r] = 0.0  # its padding too, which a scale of 0 or inf made nan
+                        stepped[own] = _mw_limit(sums[own], exponent, total)
                         mass[r] = total
                 sums = stepped
-    for w, start, final, length in zip(weights, initial, sums, lengths):
-        # Bin over its cell's initial sum first: the sums' ratio alone can overflow.
-        w /= np.repeat(np.where(start > 0, start, 1.0), length)
-        w *= np.repeat(final, length)
+    bins, lengths = weights.reshape(-1), np.diff(firsts, append=weights.size)
+    # Bin over its atom's initial sum first: the sums' ratio alone can overflow.
+    bins /= np.repeat(np.where(initial > 0, initial, 1.0)[atom], lengths)
+    bins *= np.repeat(sums[atom], lengths)
 
 
-def _rescaled(sums: np.ndarray, total: float) -> np.ndarray:
-    """Each row of ``sums`` scaled to add up to ``total``, added left to right."""
-    return sums * (total / np.cumsum(sums, axis=1)[:, -1])[:, None]
+def _sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` added along ``axis`` left to right, one element at a time."""
+    return a.cumsum(axis).take(-1, axis)
 
 
 def _strategy_workload(strategy: str, d: int) -> Workload:

@@ -159,17 +159,20 @@ class BoundParameters:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.n_records < 0 or math.isnan(self.n_records):
-            raise ValueError("n_records must be non-negative")
-        if not self.hypothesis_count > 1:
-            raise ValueError("hypothesis_count must exceed 1")
+        for name in ("n_records", "hypothesis_count", "beta", "sensitivity", "epsilon"):
+            _check_real(getattr(self, name), name, "bound parameters")
+        if not 0 <= self.n_records < math.inf:
+            raise ValueError("n_records must be finite and non-negative")
+        if not 1 < self.hypothesis_count < math.inf:
+            raise ValueError("hypothesis_count must be finite and exceed 1")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
         _check_int(self.m, "m", "bound parameters")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.sensitivity < 0 or math.isnan(self.sensitivity):
-            raise ValueError("sensitivity must be non-negative")
+        if not 0 <= self.sensitivity < math.inf:
+            raise ValueError("sensitivity must be finite and non-negative")
+        # An infinite epsilon is the noise-disabled test mode; the CLI refuses it.
         if not self.epsilon > 0 or math.isnan(self.epsilon):
             raise ValueError("epsilon must be positive")
 

@@ -249,6 +249,16 @@ class TestBounds:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("infinite", [["--n"], ["--h", "--s"], ["--s"]])
+    def test_rejects_infinite_sizes(self, infinite, capsys):
+        flags = {"--n": "100", "--h": "16", "--beta": "0.05", "--m": "50", "--s": "1", "--eps": "1"}
+        flags.update(dict.fromkeys(infinite, "inf"))
+        rc = main(["bounds", *[part for flag in flags.items() for part in flag]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_rejects_bad_beta(self, capsys):
         rc = main(
             [

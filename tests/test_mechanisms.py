@@ -383,7 +383,7 @@ class TestMwem:
 
 
 def _dense_mw_replay(bins, total, rows, mw_iters):
-    """Reference for ``_mw_replay``: each step multiplies all d bins and renormalizes them."""
+    """Reference for ``_mw_refit``: each step multiplies all d bins and renormalizes them."""
     for _ in range(mw_iters):
         for row, value in rows:
             estimate = row @ bins
@@ -410,22 +410,6 @@ def _random_rows(kind: str, d: int, m: int, rng) -> Workload:
     return Workload(d, queries)
 
 
-def _refit(weights, total, workload, rows, values, mw_iters):
-    """The engine's refit of one run that measured ``rows``; returns its bins.
-
-    While every measured row is a range the engine refits on cells;
-    otherwise it steps the bins.
-    """
-    if all(workload._kinds[i] == "range" for i in rows):
-        lo = np.array([[workload._lo[i] for i in rows]])
-        stop = np.array([[workload._hi[i] + 1 for i in rows]])
-        mechanisms._mw_refit_cells([weights], total, lo, stop, np.array([values]), mw_iters)
-    else:
-        history = [(*mechanisms._mw_support(workload, i), v) for i, v in zip(rows, values)]
-        mechanisms._mw_replay(weights, total, history, mw_iters)
-    return mechanisms._mw_bins(weights, total)
-
-
 def _replay_both(kind, rounds, mw_iters, noise_scale, seed=0):
     """Run MWEM's refit schedule (history grows by one entry per round) both ways.
 
@@ -440,12 +424,14 @@ def _replay_both(kind, rounds, mw_iters, noise_scale, seed=0):
     values = evaluate_workload(workload, hist) + rng.laplace(0.0, noise_scale, rounds)
     weights = np.full(d, total / d)
     dense = weights.copy()
+    atoms = mechanisms._MwAtoms(1, d)  # split by one more row each round, as in the engine
     rows = []
     for t in range(rounds):
         rows.append((workload.matrix[t], values[t]))
-        bins = _refit(weights, total, workload, range(t + 1), values[: t + 1], mw_iters)
+        atoms.split(workload.matrix[t : t + 1])
+        mechanisms._mw_refit(weights[None], atoms, values[None, : t + 1], total, mw_iters)
         dense = _dense_mw_replay(dense, total, rows, mw_iters)
-        yield bins, dense, total
+        yield mechanisms._mw_bins(weights, total), dense, total
 
 
 # Below the smallest normal float a bin carries fewer than 53 bits, so
@@ -456,7 +442,7 @@ _SUBNORMAL = np.finfo(float).tiny
 @pytest.mark.parametrize("mw_iters", [1, 20])
 @pytest.mark.parametrize("rounds", [1, 10, 100])
 @pytest.mark.parametrize("kind", ["range", "subset", "general", "mixed"])
-def test_mw_replay_matches_dense_reference(kind, rounds, mw_iters):
+def test_mw_refit_matches_dense_reference(kind, rounds, mw_iters):
     # The noise MWEM adds at epsilon=1: scale 2 * rounds.
     for bins, dense, total in _replay_both(kind, rounds, mw_iters, 2.0 * rounds):
         np.testing.assert_allclose(bins, dense, rtol=1e-12, atol=_SUBNORMAL)
@@ -466,7 +452,7 @@ def test_mw_replay_matches_dense_reference(kind, rounds, mw_iters):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["range", "mixed"])
-def test_mw_replay_survives_measurements_far_off_the_total(kind, seed):
+def test_mw_refit_survives_measurements_far_off_the_total(kind, seed):
     # Noise about a hundred times the total (24 bins of 0..100 records)
     # moves most steps' mass by more than a factor of two, and unless
     # the weights are rescaled they leave the float range within a few
@@ -492,8 +478,8 @@ def test_mwem_at_extreme_noise_takes_the_update_limit():
 
 
 def test_mwem_at_extreme_noise_on_the_bins_takes_the_update_limit():
-    # The same noise on a workload with subset and general rows, which
-    # the refit steps bin by bin.
+    # The same noise on a workload with subset and general rows, whose
+    # atoms can be single bins.
     rng = np.random.default_rng(5)
     hist = Histogram([3, 1, 4, 2])
     for seed in range(10):
@@ -592,8 +578,11 @@ def test_lockstep_refit_has_the_bytes_of_one_run_in_python_floats():
         truth = np.array([[hist.bins[a:b].sum() for a, b in zip(*row)] for row in zip(lo, stop)])
         scales = np.repeat([1.0, 30.0, 3.0 * total], 10)[:, None]
         values = truth + rng.laplace(0.0, 1.0, (30, t)) * scales
-        batch = [np.full(d, total / d) for _ in range(30)]
-        mechanisms._mw_refit_cells(batch, total, lo, stop, values, 20)
+        batch = np.full((30, d), total / d)
+        atoms = mechanisms._MwAtoms(30, d)
+        for a, b in zip(lo.T, stop.T):
+            atoms.split(((a[:, None] <= np.arange(d)) & (np.arange(d) < b[:, None])) * 1.0)
+        mechanisms._mw_refit(batch, atoms, values, total, 20)
         for r in range(30):
             alone = np.full(d, total / d)
             history = [(slice(a, b), None, v) for a, b, v in zip(lo[r], stop[r], values[r])]
@@ -601,19 +590,31 @@ def test_lockstep_refit_has_the_bytes_of_one_run_in_python_floats():
             np.testing.assert_array_equal(batch[r], alone)
 
 
-_CELL_REFIT = mechanisms._mw_refit_cells
+# The engine's refit, which _mwem_with replaces in the module.
+_REFIT = mechanisms._mw_refit
 
 
 def _cell_refit(weights, total, history, mw_iters):
     """The engine's lockstep refit, run on one run's ``(slice, None, measured)`` history."""
-    lo = np.array([[support.start for support, _, _ in history]])
-    stop = np.array([[support.stop for support, _, _ in history]])
-    values = np.array([[value for _, _, value in history]])
-    _CELL_REFIT([weights], total, lo, stop, values, mw_iters)
+    atoms = mechanisms._MwAtoms(1, weights.size)
+    for support, _, _ in history:
+        row = np.zeros((1, weights.size))
+        row[0, support] = 1.0
+        atoms.split(row)
+    _REFIT(weights[None], atoms, np.array([[value for _, _, value in history]]), total, mw_iters)
+
+
+def _rows_of(atoms, r):
+    """Run r's measured rows, rebuilt from its atoms' slots and levels."""
+    steps, _, runs = atoms.coefs.shape
+    # Indexed by slot: r for coefficient 0, (l + 1) * runs + r for level l.
+    coefs = np.hstack([np.zeros((steps, runs)), atoms.coefs.reshape(steps, -1)])
+    labels = np.cumsum(atoms.starts[r]) - 1
+    return np.take_along_axis(coefs, np.array(atoms.slots)[:, r, labels], axis=1)
 
 
 def _mwem_with(refit, monkeypatch, test, hist, epsilon, seed, rounds=10):
-    """mwem_publish's answers with ``refit`` as its cell refit, and the ranges it measured.
+    """mwem_publish's answers with ``refit`` as its refit, and the ranges it measured.
 
     ``refit`` takes one run's weights, the total, its ``(slice, None,
     measured)`` history and the passes, and refits the weights in
@@ -622,14 +623,19 @@ def _mwem_with(refit, monkeypatch, test, hist, epsilon, seed, rounds=10):
     """
     measured, sizes = [], []
 
-    def one_run(weights, total, lo, stop, values, mw_iters):
+    def one_run(weights, atoms, values, total, mw_iters):
         (run_weights,) = weights
-        history = [(slice(*bounds), None, value) for *bounds, value in zip(*lo, *stop, *values)]
+        history = []
+        for row, value in zip(_rows_of(atoms, 0), *values):
+            (support,) = np.nonzero(row)
+            span = slice(support[0], support[-1] + 1)
+            assert row[span].tolist() == [1.0] * support.size  # a range
+            history.append((span, None, value))
         measured[:] = [(support, value) for support, _, value in history]
         sizes.append(len(history))
         refit(run_weights, total, history, mw_iters)
 
-    monkeypatch.setattr(mechanisms, "_mw_refit_cells", one_run)
+    monkeypatch.setattr(mechanisms, "_mw_refit", one_run)
     _, answers = mwem_publish(test, hist, epsilon, rounds=rounds, seed=seed)
     assert sizes == list(range(1, rounds + 1))
     return answers, measured
@@ -695,24 +701,29 @@ def _engine_group(workload, hist, as_bounds):
 def test_engine_batch_gives_every_run_its_bytes_alone():
     hist = generate_simulated_histogram(16, 100, seed=2)
     rng = np.random.default_rng(3)
+    # Every row kind goes through the one refit: ranges, subsets and
+    # general rows alone, and all three in one workload.
     workloads = [
         random_range_workload(16, 30, seed=1),
         random_range_workload(16, 7, seed=2),
         _random_rows("mixed", 16, 9, rng),
         random_range_workload(16, 50, seed=3),
+        _random_rows("subset", 16, 12, rng),
+        _random_rows("general", 16, 10, rng),
     ]
     groups = [
         _engine_group(w, hist, as_bounds=g in (1, 3)) for g, w in enumerate(workloads)
     ]
     runs = []
-    for k in range(24):
-        group, epsilon, seed = k % 4, (0.001, 0.3, 1.0, 5.0)[k % 3], 100 + k
+    for k in range(36):
+        # At epsilon 1e-5 a third of the steps take the update's limit.
+        group, epsilon, seed = k % 6, (1e-5, 0.001, 0.3, 1.0, 5.0)[k % 5], 100 + k
         runs.append((group, epsilon, seed, PrivacyBudget(epsilon), None))
     results = {
-        k: (bins, matrix @ bins)
-        for k, bins, matrix in mechanisms._mwem_runs(hist, groups, runs, rounds=6)
+        k: (bins, answers)
+        for k, bins, answers in mechanisms._mwem_runs(hist, groups, runs, rounds=6)
     }
-    assert sorted(results) == list(range(24))
+    assert sorted(results) == list(range(36))
     for k, (group, epsilon, seed, budget, _) in enumerate(runs):
         alone = PrivacyBudget(epsilon)
         synthetic, answers = mwem_publish(workloads[group], hist, epsilon, 6, seed, budget=alone)

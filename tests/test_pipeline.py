@@ -324,6 +324,19 @@ class TestBounds:
         )
         assert noise_error_bound(p) == 0.0
 
+    def test_refuses_non_numbers(self):
+        good = dict(n_records=10, hypothesis_count=16, beta=0.05, m=50)
+        for name, bad in (("epsilon", True), ("n_records", "5"), ("beta", None),
+                          ("hypothesis_count", [16]), ("sensitivity", "1")):
+            with pytest.raises(ValueError, match=f"{name}=.* is not a number"):
+                BoundParameters(**{**good, name: bad})
+
+    def test_refuses_infinite_sizes(self):
+        good = dict(n_records=10, hypothesis_count=16, beta=0.05, m=50)
+        for name in ("n_records", "hypothesis_count", "sensitivity"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                BoundParameters(**{**good, name: math.inf})
+
     def test_parameter_validation(self):
         good = dict(n_records=10, hypothesis_count=16, beta=0.05, m=50)
         with pytest.raises(ValueError, match="n_records"):
