@@ -27,7 +27,7 @@ from .mechanisms import (
 )
 from .pipeline import MldpConfig, mldp_publish, training_workload_for
 from .seeds import derive_seed
-from .workload import Workload, evaluate_workload, random_range_workload
+from .workload import Workload, _range_indicators, evaluate_workload, random_range_workload
 
 __all__ = [
     "MECHANISMS",
@@ -70,7 +70,7 @@ def mae(predicted, truth) -> float:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where the histogram comes from: a CSV path or a simulation spec."""
+    """Where the histogram comes from: a CSV path (a str) or a simulation spec."""
 
     path: str | None = None
     d: int | None = None
@@ -80,6 +80,8 @@ class DatasetSpec:
     def __post_init__(self):
         simulated = (self.d, self.max_count, self.seed)
         if self.path is not None:
+            if not isinstance(self.path, str):
+                raise ValueError(f"dataset path must be a string, got {self.path!r}")
             if any(v is not None for v in simulated):
                 raise ValueError("dataset spec takes a path or simulation fields, not both")
         elif any(v is None for v in simulated):
@@ -108,9 +110,14 @@ class DatasetSpec:
         if "path" in data and "simulated" in data:
             raise ValueError("dataset spec takes a path or simulation fields, not both")
         if "path" in data:
-            return cls(path=str(data["path"]))
+            if not isinstance(data["path"], str):
+                raise ValueError(f"dataset path must be a string, got {data['path']!r}")
+            return cls(path=data["path"])
         if "simulated" in data:
             sim = data["simulated"]
+            extra = set(sim) - {"d", "max_count", "seed"} if isinstance(sim, dict) else ()
+            if extra:
+                raise ValueError(f"unknown simulated dataset keys {sorted(extra)}")
             try:
                 fields = {key: sim[key] for key in ("d", "max_count", "seed")}
             except (KeyError, TypeError) as exc:
@@ -249,20 +256,20 @@ class _PendingMae:
 def _run_mwem_queue(queue: list, hist: Histogram, rounds: int) -> None:
     """Refit the queued MWEM runs together and fill in their MAEs; empties the queue.
 
-    A queued run is ``(pending, rows, epsilon, seed)``, with ``rows``
-    its test workload's ``((lo, hi), truth)``, shared by every run on
-    that workload.  Each run gets a fresh budget of its epsilon, as in
-    :func:`_baseline_mae`, and the MAE of the answers of its synthetic
-    histogram.
+    A queued run is ``(pending, group, epsilon, seed)``, with ``group``
+    its test workload's engine group ``(rows, truth)``, shared by every
+    run on that workload.  Each run gets a fresh budget of its epsilon,
+    as in :func:`_baseline_mae`, and the MAE of the answers of its
+    synthetic histogram.
     """
     if not queue:
         return
     groups, position, runs = [], {}, []
-    for _, rows, epsilon, seed in queue:
-        if id(rows) not in position:
-            position[id(rows)] = len(groups)
-            groups.append(rows)
-        runs.append((position[id(rows)], epsilon, seed, PrivacyBudget(epsilon), None))
+    for _, group, epsilon, seed in queue:
+        if id(group) not in position:
+            position[id(group)] = len(groups)
+            groups.append(group)
+        runs.append((position[id(group)], epsilon, seed, PrivacyBudget(epsilon), None))
     for k, _, answers in _mwem_runs(hist, groups, runs, rounds):
         queue[k][0].value = mae(answers, groups[runs[k][0]][1])
     queue.clear()
@@ -308,14 +315,15 @@ def run_sweep(config: ExperimentConfig) -> dict:
     - epsilon: the model and the baselines rerun at each epsilon with a
       fresh budget; the test workload and its exact answers are shared.
 
-    MWEM runs are not run one by one.  Each is queued with its test
-    workload's bounds (int32) and exact answers, its epsilon and its
-    seed, and its rows hold a placeholder for its MAE.  When a run
-    finds _MWEM_BATCH runs waiting, and after the last trial, the queue
-    runs through the lockstep engine ``mechanisms._mwem_runs``, which
-    gives each run the bytes mwem_publish gives it alone, and the MAEs
-    are filled in.  A queued run holds no matrix, so what a sweep holds
-    across trials is bounded by the batch, not by the number of trials.
+    MWEM runs are not run one by one.  Each is queued with its epsilon,
+    its seed and its test workload's exact answers and ``rows``, which
+    builds the 0/1 range rows afresh from the workload's int32 bounds;
+    its report rows hold a placeholder for its MAE.  When a run finds
+    _MWEM_BATCH runs waiting, and after the last trial, the queue runs
+    through the lockstep engine ``mechanisms._mwem_runs``, which gives
+    each run the bytes mwem_publish gives it alone, and the MAEs are
+    filled in.  A queued run holds no test Workload and no matrix, so
+    what a sweep holds across trials is bounded by the batch.
 
     Returns the report document that emit_report writes, with the keys
     config, code_version, seed_rule, sweep_variable, grid and rows.
@@ -337,8 +345,8 @@ def run_sweep(config: ExperimentConfig) -> dict:
     def test_workload(at, seed):
         test = random_range_workload(hist.d, at["test_m"], seed)
         truth = evaluate_workload(test, hist)
-        bounds = np.array(test._lo, dtype=np.int32), np.array(test._hi, dtype=np.int32)
-        return test, truth, (bounds, truth)
+        lo, hi = np.array(test._lo, dtype=np.int32), np.array(test._hi, dtype=np.int32)
+        return test, truth, (lambda: _range_indicators(hist.d, lo, hi).astype(float), truth)
 
     def publish(at, seed):
         mc = MldpConfig(
@@ -352,13 +360,13 @@ def run_sweep(config: ExperimentConfig) -> dict:
         )
         return seed, mc, mldp_publish(hist, mc, PrivacyBudget(at["epsilon"]))
 
-    def baseline(mech, at, test, truth, rows, seed):
+    def baseline(mech, at, test, truth, group, seed):
         if mech != "mwem":
             return seed, _baseline_mae(mech, test, truth, hist, at["epsilon"], config.rounds, seed)
         if len(queue) == _MWEM_BATCH:
             _run_mwem_queue(queue, hist, config.rounds)
         pending = _PendingMae()
-        queue.append((pending, rows, at["epsilon"], seed))
+        queue.append((pending, group, at["epsilon"], seed))
         return seed, pending
 
     for t in range(config.trials):
@@ -379,7 +387,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
                 "epsilon": config.epsilon,
                 var: value if var == "epsilon" else int(value),
             }
-            test, truth, rows = draw(
+            test, truth, group = draw(
                 "test-workload", "test-workload", i, lambda s: test_workload(at, s)
             )
             for mech in config.mechanisms:
@@ -390,7 +398,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
                     trials[mech, i].append((seed, error, overlap))
                 else:
                     seed, error = draw(
-                        "baseline", mech, i, lambda s: baseline(mech, at, test, truth, rows, s)
+                        "baseline", mech, i, lambda s: baseline(mech, at, test, truth, group, s)
                     )
                     trials[mech, i].append((seed, error, None))
 
@@ -440,14 +448,16 @@ def emit_report(report: dict, path) -> None:
 
     The path's suffix picks the format.  A .json file is the document
     itself and is byte-stable: re-running the same config and seed
-    writes the identical file.  A .csv file carries the config echo and
-    provenance as '#' comment lines, then one line per (mechanism, grid
-    point, statistic), for plotting.
+    writes the identical file.  A document strict JSON cannot hold (a
+    NaN, an infinity, an np.float32) raises before the file is opened.
+    A .csv file carries the config echo and provenance as '#' comment
+    lines, then one line per (mechanism, grid point, statistic), for
+    plotting.
     """
     if _report_format(path) == "json":
+        text = json.dumps(report, indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         return
     lines = [
         f"# config: {json.dumps(report['config'], separators=(',', ':'))}",

@@ -88,7 +88,8 @@ class Histogram:
         )
 
     def __hash__(self):
-        return hash((self._bins.tobytes(), self._labels))
+        # Adding 0.0 reads -0.0 as 0.0, which __eq__ takes for equal.
+        return hash(((self._bins + 0.0).tobytes(), self._labels))
 
     def __repr__(self):
         return f"Histogram(d={self.d}, total={self.total})"

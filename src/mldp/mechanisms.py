@@ -271,7 +271,8 @@ def mwem_publish(
         budget = PrivacyBudget(epsilon)
     truth = evaluate_workload(workload, hist)
     runs = [(0, epsilon, seed, budget, on_round)]
-    ((_, bins, answers),) = _mwem_runs(hist, [(workload, truth)], runs, rounds, mw_iters)
+    groups = [(lambda: workload.matrix, truth)]
+    ((_, bins, answers),) = _mwem_runs(hist, groups, runs, rounds, mw_iters)
     return Histogram(bins), answers
 
 
@@ -284,47 +285,31 @@ class _MwemRun:
 def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters: int = 20):
     """Advance independent MWEM runs over ``hist`` round by round.
 
-    ``groups`` holds ``(workload, truth)`` pairs: a workload is a
-    :class:`Workload` or the ``(lo, hi)`` bound arrays of a range
-    workload over ``hist.d``, and ``truth`` its exact answers.  A
-    bounds workload's matrix is written into one buffer shared by all
-    of them when it is used, so the engine holds one matrix, whatever
-    the number of groups.  ``runs`` holds ``(group index, epsilon,
-    seed, budget, on_round)`` tuples; each run follows
-    :func:`mwem_publish` with its own generator and budget, so its
-    picks, measurements and charges do not depend on the other runs.
+    ``groups`` holds ``(rows, truth)`` pairs: ``rows()`` returns a
+    group's (m x d) query matrix over ``hist.d`` and ``truth`` is its
+    exact answers.  The engine calls ``rows()`` once to scale the
+    group's noise, once per round and once for the final answers, and
+    drops the matrix before it reads the next group's, so rows built
+    afresh at each call are held one group at a time.  ``runs`` holds
+    ``(group index, epsilon, seed, budget, on_round)`` tuples; each run
+    follows :func:`mwem_publish` with its own generator and budget, so
+    its picks, measurements and charges do not depend on the others.
 
     Each round scores, picks and measures every run group by group,
     splits each run's atoms by the row it picked, whatever its kind
     (:class:`_MwAtoms`), and refits all runs in one :func:`_mw_refit`.
     The runs' weights are one (runs x d) array.  After the last round
     the engine yields ``(run index, bins, answers)`` for each run,
-    group by group, with ``answers`` its workload matrix times its bins.
+    group by group, with ``answers`` its group's matrix times its bins.
     """
     total, d = hist.total, hist.d
     if total <= 0:
         raise ValueError("the histogram must contain at least one record")
     for _, epsilon, _, budget, _ in runs:
         budget._check_fits("mwem", epsilon)
-    sizes = [workload[0].size for workload, _ in groups if not isinstance(workload, Workload)]
-    buffer = np.empty((max(sizes, default=0), d))
-    columns = np.arange(d)
-
-    def matrix_of(workload):
-        if isinstance(workload, Workload):
-            return workload.matrix
-        lo, hi = workload
-        matrix = buffer[: lo.size]
-        matrix[...] = columns >= lo[:, None]
-        matrix *= columns <= hi[:, None]  # the 0/1 rows range_workload builds
-        return matrix
-
     # Moving one record changes any one query answer, and so any score,
     # by at most the largest absolute coefficient: 1 for a range.
-    sensitivities = [
-        float(np.abs(workload.matrix).max()) if isinstance(workload, Workload) else 1.0
-        for workload, _ in groups
-    ]
+    sensitivities = [float(np.abs(rows()).max()) for rows, _ in groups]
     states, members = [], [[] for _ in groups]
     for k, (g, epsilon, seed, budget, on_round) in enumerate(runs):
         sensitivity = sensitivities[g]
@@ -345,10 +330,8 @@ def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters:
     for t in range(rounds):
         # One label object per round, shared by every run's ledger.
         select, measure = f"mwem select round {t + 1}", f"mwem measure round {t + 1}"
-        for (workload, truth), ks in zip(groups, members):
-            if not ks:
-                continue
-            matrix = matrix_of(workload)
+        for (rows, truth), ks in zip(groups, members):
+            matrix = rows()
             for k in ks:
                 run = states[k]
                 bins = weights[k] if t == 0 else _mw_bins(weights[k], total)
@@ -358,18 +341,19 @@ def _mwem_runs(hist: Histogram, groups: list, runs: list, rounds: int, mw_iters:
                 run.budget.charge(measure, run.eps_round)
                 values[k, t] = truth[i] + _laplace_noise(run.scale, 1, run.rng)[0]
                 picked[k] = matrix[i]
+            del matrix
         atoms.split(picked)
         _mw_refit(weights, atoms, values[:, : t + 1], total, mw_iters)
         for k, run in enumerate(states):
             if run.on_round is not None:
                 run.on_round(t, _mw_bins(weights[k], total))
 
-    for (workload, _), ks in zip(groups, members):
-        if ks:
-            matrix = matrix_of(workload)
-            for k in ks:
-                bins = _mw_bins(weights[k], total)
-                yield k, bins, matrix @ bins
+    for (rows, _), ks in zip(groups, members):
+        matrix = rows()
+        for k in ks:
+            bins = _mw_bins(weights[k], total)
+            yield k, bins, matrix @ bins
+        del matrix
 
 
 def _mw_bins(weights: np.ndarray, total: float) -> np.ndarray:

@@ -76,7 +76,8 @@ class LinearQuery:
         return self.kind == other.kind and np.array_equal(self._coeffs, other._coeffs)
 
     def __hash__(self):
-        return hash((self.kind, self._coeffs.tobytes()))
+        # Adding 0.0 reads -0.0 as 0.0, which __eq__ takes for equal.
+        return hash((self.kind, (self._coeffs + 0.0).tobytes()))
 
     def __repr__(self):
         if self.kind == "range":
@@ -182,7 +183,8 @@ class Workload:
         )
 
     def __hash__(self):
-        return hash((self.d, self._kinds, self._matrix.tobytes()))
+        # Adding 0.0 reads -0.0 as 0.0, which __eq__ takes for equal.
+        return hash((self.d, self._kinds, (self._matrix + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Workload(d={self.d}, m={self.m})"

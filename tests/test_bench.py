@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,22 @@ class TestDatasetSpec:
             DatasetSpec.from_dict({"simulated": {"d": 4}})
         with pytest.raises(ValueError, match="needs 'path' or 'simulated'"):
             DatasetSpec.from_dict({})
+
+    @pytest.mark.parametrize("path", [5, None, 1.5, ["h.csv"]])
+    def test_from_dict_refuses_a_path_that_is_not_a_string(self, path):
+        message = f"dataset path must be a string, got {path!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetSpec.from_dict({"path": path})
+
+    @pytest.mark.parametrize("path", [5, 1.5, Path("h.csv")])
+    def test_refuses_a_path_that_is_not_a_string(self, path):
+        with pytest.raises(ValueError, match="dataset path must be a string"):
+            DatasetSpec(path=path)
+
+    def test_from_dict_refuses_unknown_simulated_keys(self):
+        sim = {"d": 8, "max_count": 5, "seed": 1, "bogus": 3}
+        with pytest.raises(ValueError, match=r"unknown simulated dataset keys \['bogus'\]"):
+            DatasetSpec.from_dict({"simulated": sim})
 
 
 class TestExperimentConfig:
@@ -389,6 +407,17 @@ class TestRunSweepAndReports:
             overlap = row["train_test_overlap"]
             assert type(overlap) is (float if row["mechanism"] == "mldp" else type(None))
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [(math.nan, ValueError), (math.inf, ValueError), (np.float32(1.5), TypeError)],
+    )
+    def test_a_json_report_it_cannot_hold_writes_no_file(self, tmp_path, report, value, error):
+        rows = [{**report["rows"][0], "mean_mae": value}, *report["rows"][1:]]
+        path = tmp_path / "r.json"
+        with pytest.raises(error):
+            emit_report({**report, "rows": rows}, path)
+        assert not path.exists()
+
     def test_csv_reader_requires_config_comment(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("mechanism,grid_value,statistic,value\nlaplace,1.0,mean_mae,2.0\n")
@@ -540,3 +569,31 @@ def test_mwem_rows_match_one_run_per_cell(name, batch, monkeypatch):
         # One run per trial, shared by every grid point's row.
         assert row_of(report, "mwem", 0) == {**row_of(report, "mwem", 1), "grid_index": 0,
                                               "grid_value": config.grid[0]}
+
+
+def test_no_test_matrix_is_alive_when_the_queued_mwem_runs_refit(monkeypatch):
+    """A queued MWEM run keeps its test workload's bounds, never its matrix.
+
+    Workload takes no weakref (it has __slots__), so the test watches
+    each test workload's matrix.  The sweep's one engine call comes
+    after the last trial, when every test workload has been dropped.
+    """
+    matrices, alive = [], []
+    draw, engine = bench.random_range_workload, bench._mwem_runs
+
+    def drawing(d, m, seed):
+        test = draw(d, m, seed)
+        matrices.append(weakref.ref(test.matrix))
+        return test
+
+    def counting(hist, groups, runs, rounds):
+        alive.append(sum(ref() is not None for ref in matrices))
+        return engine(hist, groups, runs, rounds)
+
+    monkeypatch.setattr(bench, "random_range_workload", drawing)
+    monkeypatch.setattr(bench, "_mwem_runs", counting)
+    config = small_config(sweep_variable="epsilon", grid=(0.5, 1.0), trials=3)
+    assert "mwem" in config.mechanisms
+    run_sweep(config)
+    assert len(matrices) == 3
+    assert alive == [0]

@@ -385,6 +385,24 @@ class TestBench:
         assert "error: ridge must be finite and non-negative, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            ({"path": 5}, "dataset path must be a string, got 5"),
+            ({"path": None}, "dataset path must be a string, got None"),
+            (
+                {"simulated": {"d": 8, "max_count": 5, "seed": 1, "bogus": 3}},
+                "unknown simulated dataset keys ['bogus']",
+            ),
+        ],
+    )
+    def test_rejects_a_bad_dataset_spec_before_writing(self, capsys, tmp_path, dataset, message):
+        out = tmp_path / "r.json"
+        rc = main(["bench", self.bench_config(tmp_path, dataset=dataset), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_empty_mechanisms_before_writing(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         rc = main(["bench", self.bench_config(tmp_path, mechanisms=[]), "--out", str(out)])

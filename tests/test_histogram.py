@@ -70,6 +70,12 @@ class TestConstruction:
         assert hist4 != Histogram([12, 24, 6, 7])  # labels differ
         assert hist4 != "not a histogram"
 
+    def test_signed_zeros_are_equal_and_hash_equal(self):
+        negative, positive = Histogram([-0.0, 1.0]), Histogram([0.0, 1.0])
+        assert negative == positive
+        assert hash(negative) == hash(positive)
+        assert len({negative, positive}) == 1
+
     def test_repr_mentions_shape(self, hist4):
         assert "d=4" in repr(hist4)
 

@@ -34,6 +34,7 @@ from mldp.seeds import derive_seed
 from mldp.workload import (
     LinearQuery,
     Workload,
+    _range_indicators,
     evaluate_workload,
     range_query,
     workload_sensitivity,
@@ -691,18 +692,21 @@ def test_mwem_past_the_cell_limit_matches_the_per_bin_refit(epsilon, monkeypatch
 
 
 def _engine_group(workload, hist, as_bounds):
-    """An engine workload: the Workload itself, or its range bounds as int32 arrays."""
+    """An engine group: rows that return the held matrix, or fresh rows from int32 bounds."""
     truth = evaluate_workload(workload, hist)
     if not as_bounds:
-        return workload, truth
-    return (np.array(workload._lo, dtype=np.int32), np.array(workload._hi, dtype=np.int32)), truth
+        return (lambda: workload.matrix), truth
+    lo, hi = np.array(workload._lo, dtype=np.int32), np.array(workload._hi, dtype=np.int32)
+    return (lambda: _range_indicators(hist.d, lo, hi).astype(float)), truth
 
 
 def test_engine_batch_gives_every_run_its_bytes_alone():
     hist = generate_simulated_histogram(16, 100, seed=2)
     rng = np.random.default_rng(3)
     # Every row kind goes through the one refit: ranges, subsets and
-    # general rows alone, and all three in one workload.
+    # general rows alone, and all three in one workload.  Groups 1 and 3
+    # build their range rows afresh from int32 bounds at every call, as
+    # run_sweep's do; the others return the matrix their workload holds.
     workloads = [
         random_range_workload(16, 30, seed=1),
         random_range_workload(16, 7, seed=2),

@@ -146,6 +146,17 @@ class TestWorkload:
         assert ranges == again
         assert hash(ranges) == hash(again)
 
+    @pytest.mark.parametrize("kind", ["general", "subset"])
+    def test_signed_zeros_are_equal_and_hash_equal(self, kind):
+        negative, positive = LinearQuery([-0.0, 1.0], kind), LinearQuery([0.0, 1.0], kind)
+        assert negative == positive
+        assert hash(negative) == hash(positive)
+        assert len({negative, positive}) == 1
+        workloads = Workload(2, [negative]), Workload(2, [positive])
+        assert workloads[0] == workloads[1]
+        assert hash(workloads[0]) == hash(workloads[1])
+        assert len(set(workloads)) == 1
+
     def test_range_workload_equals_query_by_query_construction(self):
         lo, hi = [0, 2, 1, 4], [4, 2, 3, 4]
         w = range_workload(5, lo, hi)
