@@ -452,7 +452,8 @@ def emit_report(report: dict, path) -> None:
     NaN, an infinity, an np.float32) raises before the file is opened.
     A .csv file carries the config echo and provenance as '#' comment
     lines, then one line per (mechanism, grid point, statistic), for
-    plotting.
+    plotting; a grid value or statistic that is not a finite Python int
+    or float raises ValueError before the file is opened.
     """
     if _report_format(path) == "json":
         text = json.dumps(report, indent=2, allow_nan=False)
@@ -469,9 +470,17 @@ def emit_report(report: dict, path) -> None:
     for row in report["rows"]:
         for name in ("mean_mae", "std_mae", "train_test_overlap"):
             if row[name] is not None:
-                lines.append(f"{row['mechanism']},{row['grid_value']!r},{name},{row[name]!r}")
+                grid_value, value = _csv_number(row["grid_value"]), _csv_number(row[name])
+                lines.append(f"{row['mechanism']},{grid_value},{name},{value}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _csv_number(value) -> str:
+    """The repr of a finite Python int or float, which read_report_csv reads back."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"a CSV report holds finite Python numbers, not {value!r}")
+    return repr(value)
 
 
 def read_report_csv(path) -> dict:

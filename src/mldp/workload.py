@@ -14,8 +14,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .histogram import Histogram, _csv_int, _csv_rows, _integer, neighbor
+from .histogram import Histogram, _csv_blocks, _csv_int, _csv_rows, _integer, neighbor
 
 __all__ = [
     "LinearQuery",
@@ -212,8 +213,12 @@ def range_workload(d: int, lo, hi) -> Workload:
 
 def _range_indicators(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boolean (m x d) matrix whose row i is true on bins lo[i]..hi[i]."""
-    bins = np.arange(d)
-    return (bins >= lo[:, None]) & (bins <= hi[:, None])
+    # Row a of steps is true on bins d - a and up, so row d - lo is true
+    # from lo on and row d - 1 - hi from hi + 1 on.
+    steps = sliding_window_view(np.arange(2 * d) >= d, d)
+    indicators = steps[d - lo]
+    indicators ^= steps[d - 1 - hi]
+    return indicators
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -380,28 +385,46 @@ def load_workload_csv(path) -> Workload:
 
     Any spelling of the coefficients that ``np.loadtxt`` reads as floats
     is accepted.  The data rows are read in one pass, in file order.  A
-    range row whose coeffs field is exactly what :func:`save_workload_csv`
-    writes for its bounds is a template row: its matrix row is built from
-    the bounds, and its coefficients are never parsed.  Every other row
-    is parsed on its own and checked by the rules :class:`LinearQuery`
+    plain file (see :func:`~mldp.histogram._csv_blocks`), which is every
+    file :func:`save_workload_csv` writes, is read about 1 MiB of lines
+    at a time: a range row whose line is exactly what that writer writes
+    for its bounds is a template row, found with the others of its block
+    by :func:`_template_bounds`; its matrix row is built from the bounds
+    and its coefficients are never parsed.  Every other row, and every
+    row of a file that is not plain, is parsed on its own by
+    :func:`_read_row` and checked by the rules :class:`LinearQuery`
     applies, without building one.  Every range row is stored as its 0/1
     indicator.  A bad file is reported at its first bad row.
     """
     path = Path(path)
-    d = None
-    kinds, lo, hi, parsed = [], [], [], {}
+    rows = _plain_rows(path)
+    if rows is None:
+        rows = _text_rows(path)
+    d, kinds, lo, hi, parsed = rows
+    # A range row is its indicator; every other row has the empty range
+    # [0, -1], then its coefficients.
+    matrix = _range_indicators(d, lo, hi).astype(float)
+    if parsed:
+        matrix[list(parsed)] = np.stack(list(parsed.values()))
+    lo, hi = lo.tolist(), hi.tolist()
+    for i in parsed:
+        lo[i] = hi[i] = None
+    return Workload._of(matrix, kinds, lo, hi)
+
+
+def _text_rows(path: Path):
+    """(d, kinds, lo, hi, parsed) of any workload CSV, read a row at a time through _csv_rows.
+
+    lo and hi are int64 arrays, with the empty range [0, -1] for a row
+    that is not a range; parsed maps the index of each such row to its
+    coefficients.
+    """
+    d, kinds, lo, hi, parsed = None, [], [], [], {}
     with contextlib.closing(_csv_rows(path)) as rows:
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if tuple(c.strip().lower() for c in header) != ("kind", "lo", "hi", "coeffs"):
-            raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
+        _check_header(path, next(rows, None))
         for i, row in enumerate(rows):
-            try:
-                kind, a, b, width, coeffs = _read_row(row, d)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i + 1}: {exc}") from None
-            d = width
+            kind, coeffs, a, b = _numbered_row(path, i, row, d)
+            d = coeffs.size
             kinds.append(kind)
             lo.append(a)
             hi.append(b)
@@ -409,61 +432,165 @@ def load_workload_csv(path) -> Workload:
                 parsed[i] = coeffs
     if d is None:
         raise ValueError(f"{path}: no data rows")
-    # A range row is its indicator; every other row has no bounds and
-    # gets the empty range [0, -1], then its coefficients.
-    matrix = _range_indicators(
-        d,
-        np.array([0 if a is None else a for a in lo], dtype=np.int64),
-        np.array([-1 if b is None else b for b in hi], dtype=np.int64),
-    ).astype(float)
-    if parsed:
-        matrix[list(parsed)] = np.stack(list(parsed.values()))
-    return Workload._of(matrix, kinds, lo, hi)
+    return d, kinds, np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), parsed
+
+
+def _plain_rows(path: Path):
+    """What :func:`_text_rows` returns, read a block at a time; None if the file is not plain.
+
+    The template rows of a block are found at once by
+    :func:`_template_bounds`; every other row goes through
+    :func:`_read_row`, in file order.  The first data row sets d: a
+    template row by the length of its coefficients, any other by their
+    parse.
+    """
+    header, d, kinds, lo, hi, parsed = None, None, [], [], [], {}
+    with contextlib.closing(_csv_blocks(path)) as blocks:
+        for block in blocks:
+            if block is None:
+                return None
+            data, starts, ends = block
+            if header is None and starts.size:
+                header = data[starts[0] : ends[0]].decode("ascii").split(",")
+                _check_header(path, header)
+                starts, ends = starts[1:], ends[1:]
+            if not starts.size:
+                continue
+            n = len(kinds)
+            block_kinds = ["range"] * starts.size
+            a, b = np.full(starts.size, -1), np.full(starts.size, -1)
+
+            def read(j):
+                row = data[starts[j] : ends[j]].decode("ascii").split(",")
+                kind, coeffs, a[j], b[j] = _numbered_row(path, n + j, row, d)
+                block_kinds[j] = kind
+                if kind != "range":
+                    parsed[n + j] = coeffs
+                return coeffs.size
+
+            done = 0
+            if d is None:
+                # The first data row: a template row over d bins ends in the
+                # 4d - 1 characters after its last comma; any other row is parsed.
+                width = max(1, (ends[0] - data.rfind(b",", starts[0], ends[0])) // 4)
+                a[:1], b[:1] = _template_bounds(data, starts[:1], ends[:1], width)
+                d = width if a[0] >= 0 else read(0)
+                done = 1
+            a[done:], b[done:] = _template_bounds(data, starts[done:], ends[done:], d)
+            for j in np.flatnonzero(a < 0).tolist():
+                read(j)
+            kinds += block_kinds
+            lo.append(a)
+            hi.append(b)
+    if header is None:
+        _check_header(path, None)
+    if d is None:
+        raise ValueError(f"{path}: no data rows")
+    return d, kinds, np.concatenate(lo), np.concatenate(hi), parsed
+
+
+def _check_header(path: Path, header) -> None:
+    """ValueError unless header (a list of fields, None for an empty file) is kind,lo,hi,coeffs."""
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if tuple(c.strip().lower() for c in header) != ("kind", "lo", "hi", "coeffs"):
+        raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
+
+
+def _numbered_row(path: Path, i: int, row, d: int | None):
+    """:func:`_read_row` of data row i (counted from 0), its error naming the path and row i + 1."""
+    try:
+        return _read_row(row, d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {i + 1}: {exc}") from None
 
 
 def _read_row(row, d: int | None):
-    """(kind, lo, hi, width, coeffs) of one valid CSV data row.
+    """(kind, coeffs, lo, hi) of one valid CSV data row.
 
-    ``d`` is the width every row must have, None for the first row.
-    coeffs is None for a template row, which is a valid range by
-    construction.  Raises ValueError for the first fault, in the order
-    columns, coefficients, width, bounds, query rules.
+    ``d`` is the width every row must have, None for the first row.  A
+    row that is not a range has the empty range lo, hi = 0, -1.  Raises
+    ValueError for the first fault, in the order columns, coefficients,
+    width, bounds, query rules.
     """
     if len(row) != 4:
         raise ValueError(f"expected 4 columns, got {len(row)}")
     kind, lo_text, hi_text, text = [c.strip() for c in row]
+    if not text:
+        raise ValueError("empty coefficient list")
+    try:
+        coeffs = np.loadtxt([text], dtype=float, comments=None, ndmin=2)[0]
+    except ValueError:
+        raise ValueError("bad coefficient list") from None
+    if d is not None and coeffs.size != d:
+        raise ValueError(f"expected {d} coefficients, got {coeffs.size}")
     try:
         bounds = _bound(lo_text), _bound(hi_text)
     except ValueError:
-        bounds = None
-    width = _template_width(kind, *bounds, text) if bounds else None
-    coeffs = None
-    if width is None:
-        if not text:
-            raise ValueError("empty coefficient list")
-        try:
-            coeffs = np.loadtxt([text], dtype=float, comments=None, ndmin=2)[0]
-        except ValueError:
-            raise ValueError("bad coefficient list") from None
-        width = coeffs.size
-    if d is not None and width != d:
-        raise ValueError(f"expected {d} coefficients, got {width}")
-    if bounds is None:
-        raise ValueError(f"bad lo/hi {lo_text!r}, {hi_text!r}: expected integers")
-    if coeffs is None:
-        return kind, *bounds, width, None
+        raise ValueError(f"bad lo/hi {lo_text!r}, {hi_text!r}: expected integers") from None
     coeffs, lo, hi = _checked_query(coeffs, kind, *bounds)
-    return kind, lo, hi, width, coeffs
+    return (kind, coeffs, lo, hi) if kind == "range" else (kind, coeffs, 0, -1)
 
 
 def _bound(text: str) -> int | None:
     return _csv_int(text) if text else None
 
 
-def _template_width(kind: str, lo: int | None, hi: int | None, text: str) -> int | None:
-    """d if the row is a range whose text is exactly :func:`_range_text` of [lo, hi] over d bins."""
-    d = (len(text) + 1) // 4  # d three-character numbers and d - 1 spaces
-    if kind == "range" and lo is not None and hi is not None and 0 <= lo <= hi < d:
-        if text == _range_text(d, lo, hi):
-            return d
-    return None
+# The coefficients "0.0 " and "1.0 " read as little-endian uint32; "1.0 " is _ZERO + 1.
+_ZERO = int.from_bytes(b"0.0 ", "little")
+
+
+def _template_bounds(data: bytes, starts: np.ndarray, ends: np.ndarray, d: int):
+    """(lo, hi) arrays for the lines data[starts[i]:ends[i]]: the bounds of each
+    line that is exactly ``range,<lo>,<hi>,`` and then :func:`_range_text`
+    of [lo, hi] over d bins, with lo and hi in ASCII digits and
+    ``0 <= lo <= hi < d``; -1 and -1 for every other line.
+
+    Each line must be followed in data by one more byte, its terminator.
+    Whole lines are checked at once, with no Python step per line.
+    """
+    lo, hi = np.full(starts.size, -1), np.full(starts.size, -1)
+    # A template line is "range,", then "<lo>,<hi>" in `size` bytes, then
+    # a comma and the 4d - 1 bytes of coefficients.  w digits hold any
+    # bound below d, so size is at most 2w + 1.
+    coeffs = ends - (4 * d - 1)
+    size = coeffs - 1 - (starts + 6)
+    w = len(str(d - 1))
+    i = np.flatnonzero((size >= 3) & (size <= 2 * w + 1))
+    if not i.size:
+        return lo, hi
+    buf = np.frombuffer(data, np.uint8)
+    head = sliding_window_view(buf, 2 * w + 7)[starts[i]]
+    size = size[i, None]
+    col = np.arange(2 * w + 1)
+    text = head[:, 6:]
+    inside = col < size
+    comma = (text == ord(",")) & inside
+    c = comma.argmax(axis=1)[:, None]  # where the comma between the bounds is
+    digit = text - np.uint8(ord("0"))  # a byte that is not a digit wraps to 10 or more
+    ok = (
+        (head[:, :6] == np.frombuffer(b"range,", np.uint8)).all(axis=1)
+        & (buf[coeffs[i] - 1] == ord(","))
+        & (comma.sum(axis=1) == 1)
+        & ((digit < 10) | comma | ~inside).all(axis=1)
+        & (c[:, 0] >= 1)
+        & (c[:, 0] <= size[:, 0] - 2)
+    )
+    # Each digit times its place value in its own bound.
+    place = np.where(col < c, c - 1 - col, size - 1 - col)
+    value = np.where(inside & ~comma, digit * 10 ** np.maximum(place, 0), 0)
+    a = np.where(col < c, value, 0).sum(axis=1)
+    b = value.sum(axis=1) - a
+    ok &= (a <= b) & (b < d)
+    i, a, b = i[ok], a[ok], b[ok]
+    if not i.size:
+        return lo, hi
+    # Each line's coefficients and its terminator, as d four-byte groups
+    # once the terminator reads as the space the last group lacks.
+    groups = sliding_window_view(buf, 4 * d)[coeffs[i]]
+    groups[:, -1] = ord(" ")
+    groups = groups.view("<u4")
+    groups -= np.uint32(_ZERO)
+    ok = (groups == _range_indicators(d, a, b)).all(axis=1)
+    lo[i[ok]], hi[i[ok]] = a[ok], b[ok]
+    return lo, hi

@@ -418,6 +418,16 @@ class TestRunSweepAndReports:
             emit_report({**report, "rows": rows}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float32(1.5)], ids=repr)
+    @pytest.mark.parametrize("key", ["mean_mae", "grid_value"])
+    def test_a_csv_report_it_cannot_hold_writes_no_file(self, tmp_path, report, value, key):
+        """Written as nan, inf or np.float32(1.5), read_report_csv could not read it back."""
+        rows = [*report["rows"][:-1], {**report["rows"][-1], key: value}]
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="finite Python numbers"):
+            emit_report({**report, "rows": rows}, path)
+        assert not path.exists()
+
     def test_csv_reader_requires_config_comment(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("mechanism,grid_value,statistic,value\nlaplace,1.0,mean_mae,2.0\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mldp.histogram
+import mldp.workload
 from mldp import (
     Histogram,
     MldpConfig,
@@ -898,3 +901,146 @@ def test_array_reader_matches_the_row_by_row_reader(tmp_path_factory, rows):
         return w.matrix.tolist(), w._kinds, w._lo, w._hi
 
     assert outcome(load_workload_csv) == outcome(_row_by_row_load)
+
+
+def _block_case_rows(d: int = 12, m: int = 40) -> list[str]:
+    """m writer-spelled range rows over d bins, each about 4d + 10 bytes long."""
+    w = random_range_workload(d, m, seed=6)
+    return [f"range,{lo},{hi},{_template(d, lo, hi)}" for lo, hi in zip(w._lo, w._hi)]
+
+
+def _block_case(rows, end: str = "\r\n", last_end: str | None = None) -> bytes:
+    lines = ["kind,lo,hi,coeffs", *rows]
+    return (end.join(lines) + (end if last_end is None else last_end)).encode("utf-8")
+
+
+def _block_cases() -> dict:
+    """name: (file bytes, whether the reader must hand the file to the text path)."""
+    rows = _block_case_rows()
+
+    def late(row):
+        """The rows with one more past the first few blocks of a few hundred bytes."""
+        return _block_case(rows[:30] + [row] + rows[30:])
+
+    def t(lo, hi, d=12):
+        return _template(d, lo, hi)
+
+    def with_blanks(k, end):
+        """The rows with a blank line after every k-th."""
+        return [row + end * (i % k == 0) for i, row in enumerate(rows)]
+
+    general = "general,,," + " ".join(["0.5", "-0.0", "2e-3"] * 4)
+    mixed = [
+        general,
+        *rows[:10],
+        "range,3,7," + " ".join("1" if 3 <= j <= 7 else "0" for j in range(12)),
+        "subset,,," + " ".join(["1", "0"] * 6),
+        f"subset,,,{t(3, 7)}",
+        f"general,,,{t(3, 7)}",
+        f"range,+3,7,{t(3, 7)}",
+        f"range, 3 ,7,{t(3, 7)}",
+        f"range,03,7,{t(3, 7)}",
+        f"range,3,7, {t(3, 7)}",
+        *rows[10:],
+    ]
+    return {
+        "crlf": (_block_case(rows), False),
+        "lf": (_block_case(rows, "\n"), False),
+        "bare-cr": (_block_case(rows, "\r"), True),
+        "unterminated-last-line": (_block_case(rows, "\r\n", ""), False),
+        "last-line-ends-in-cr": (_block_case(rows, "\r\n", "\r"), False),
+        "blank-lines": (_block_case(with_blanks(3, "\r\n")), False),
+        "blank-lf-lines": (_block_case(with_blanks(4, "\n"), "\n"), False),
+        "lines-longer-than-a-block": (_block_case(_block_case_rows(d=100, m=6)), False),
+        "late-quote": (late(f'"range",3,7,{t(3, 7)}'), True),
+        "late-non-ascii": (late(f"range,\xa03,7,{t(3, 7)}"), True),
+        "mixed-kinds-and-spellings": (_block_case(mixed), False),
+        "first-row-general": (_block_case([general, *rows]), False),
+        "wrong-bounds": (late(f"range,4,7,{t(3, 7)}"), False),
+        "wrong-width": (late(f"range,3,7,{t(3, 7, d=13)}"), False),
+        "first-row-wider": (_block_case([f"range,3,7,{t(3, 7, d=13)}", *rows]), False),
+        # Each of these would read as the template of its bounds with one byte check less.
+        "empty-lo": (late(f"range,,11,{t(0, 11)}"), False),
+        "empty-hi": (late(f"range,00,,{t(0, 0)}"), False),
+        "inverted-bounds": (late(f"range,7,3,{t(4, 6)}"), False),
+        "bounds-past-d": (late(f"range,3,12,{t(0, 2)}"), False),
+        "extra-comma": (late(f"range,3,,7,{t(3, 7)}"), False),
+        "no-comma-before-coefficients": (late(f"range,3,77{t(3, 7)}"), False),
+        "non-digit-bound": (late(f"range,:,11,{t(10, 11)}"), False),
+        "capitalised-kind": (late(f"Range,3,7,{t(3, 7)}"), False),
+    }
+
+
+_BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("block_bytes", [97, 256])
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_block_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, name, block_bytes):
+    """Across block boundaries the block reader gives the row-by-row reader's outcome.
+
+    A file that is not plain is handed to the text path, and only such a file.
+    """
+    data, text_path = _BLOCK_CASES[name]
+    p = tmp_path / "w.csv"
+    p.write_bytes(data)
+    monkeypatch.setattr(mldp.histogram, "_BLOCK_BYTES", block_bytes)
+    text_reads = []
+    text_rows = mldp.workload._text_rows
+    monkeypatch.setattr(
+        mldp.workload, "_text_rows", lambda path: text_reads.append(path) or text_rows(path)
+    )
+
+    def outcome(load):
+        try:
+            w = load(p)
+        except ValueError as exc:
+            return str(exc)
+        return w.matrix.tobytes(), w._kinds, w._lo, w._hi
+
+    assert outcome(load_workload_csv) == outcome(_row_by_row_load)
+    assert bool(text_reads) == text_path
+
+
+@pytest.mark.parametrize("block_bytes", [97, 256, 1 << 20])
+def test_an_earlier_bad_row_wins_over_a_nul_after_it(tmp_path, monkeypatch, block_bytes):
+    """Reported as the row-by-row reader reports the file cut before the NUL.
+
+    At 1 MiB the bad row and the NUL are in one block.
+    """
+    monkeypatch.setattr(mldp.histogram, "_BLOCK_BYTES", block_bytes)
+    rows = _block_case_rows()
+    p, before_nul = tmp_path / "w.csv", tmp_path / "before.csv"
+    p.write_bytes(_block_case(rows[:30] + ["range,9,2,1.0", "x\0"] + rows[30:]))
+    before_nul.write_bytes(_block_case(rows[:30] + ["range,9,2,1.0"]))
+    with pytest.raises(ValueError) as info:
+        load_workload_csv(p)
+    with pytest.raises(ValueError) as expected:
+        _row_by_row_load(before_nul)
+    assert str(info.value) == str(expected.value).replace(str(before_nul), str(p))
+    assert str(info.value) == f"{p}: row 31: expected 12 coefficients, got 1"
+    # With no bad row before it, the NUL is reported by its line.
+    p.write_bytes(_block_case(rows[:30] + ["x\0"] + rows[30:]))
+    with pytest.raises(ValueError) as info:
+        load_workload_csv(p)
+    assert str(info.value) == f"{p}: line 32: line contains NUL"
+
+
+def test_loading_holds_a_few_blocks_then_the_matrix_and_its_indicator(tmp_path):
+    """Reading a 10 000-range file over 256 bins holds a few blocks of about
+    1 MiB, never the whole file; the peak of the load is the float matrix,
+    the boolean indicator it is built from, and at most 2 MiB more."""
+    w = random_range_workload(256, 10_000, seed=3)
+    p = tmp_path / "w.csv"
+    save_workload_csv(w, p)
+    peaks = {}
+    for name, read in [("rows", mldp.workload._plain_rows), ("load", load_workload_csv)]:
+        tracemalloc.start()
+        try:
+            result = read(p)
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result == w
+    assert peaks["rows"] <= 6 * 2**20 < p.stat().st_size
+    assert peaks["load"] <= w.matrix.nbytes + w.matrix.size + 2 * 2**20
