@@ -79,7 +79,8 @@ class DatasetSpec:
 
     def __post_init__(self):
         simulated = (self.d, self.max_count, self.seed)
-        if self.path is not None:
+        # A spec with no simulation field is a path spec, so {"path": null} is refused here.
+        if self.path is not None or all(v is None for v in simulated):
             if not isinstance(self.path, str):
                 raise ValueError(f"dataset path must be a string, got {self.path!r}")
             if any(v is not None for v in simulated):
@@ -110,8 +111,6 @@ class DatasetSpec:
         if "path" in data and "simulated" in data:
             raise ValueError("dataset spec takes a path or simulation fields, not both")
         if "path" in data:
-            if not isinstance(data["path"], str):
-                raise ValueError(f"dataset path must be a string, got {data['path']!r}")
             return cls(path=data["path"])
         if "simulated" in data:
             sim = data["simulated"]
@@ -449,14 +448,15 @@ def emit_report(report: dict, path) -> None:
     The path's suffix picks the format.  A .json file is the document
     itself and is byte-stable: re-running the same config and seed
     writes the identical file.  A document strict JSON cannot hold (a
-    NaN, an infinity, an np.float32) raises before the file is opened.
+    NaN, an infinity, an np.float32) raises ValueError before the file
+    is opened.
     A .csv file carries the config echo and provenance as '#' comment
     lines, then one line per (mechanism, grid point, statistic), for
     plotting; a grid value or statistic that is not a finite Python int
     or float raises ValueError before the file is opened.
     """
     if _report_format(path) == "json":
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = json.dumps(report, indent=2, allow_nan=False, default=_json_refusal)
         with open(path, "w") as fh:
             fh.write(text + "\n")
         return
@@ -474,6 +474,11 @@ def emit_report(report: dict, path) -> None:
                 lines.append(f"{row['mechanism']},{grid_value},{name},{value}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _json_refusal(value):
+    """The json.dumps default hook: ValueError, as for a NaN, in place of json's TypeError."""
+    raise ValueError(f"a JSON report holds JSON types only, not {value!r}")
 
 
 def _csv_number(value) -> str:

@@ -71,6 +71,15 @@ def _require_finite_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be finite and positive")
 
 
+def _read_json(path: str):
+    """The document in a JSON config file; ValueError naming the path if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _cmd_sensitivity(args) -> int:
     workload = load_workload_csv(args.workload)
     print(workload_sensitivity(workload))
@@ -79,12 +88,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_publish(args) -> int:
     hist = load_histogram_csv(args.histogram)
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-    config = MldpConfig.from_dict(doc)
+    config = MldpConfig.from_dict(_read_json(args.config))
     _require_finite_epsilon(config.epsilon)
     budget = PrivacyBudget(config.epsilon)
     model = mldp_publish(hist, config, budget)
@@ -107,12 +111,7 @@ def _cmd_answer(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     _report_format(args.out)  # refuse an unusable path before the sweep runs
     report = run_sweep(config)
     emit_report(report, args.out)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import os
 import re
 from pathlib import Path
@@ -190,35 +189,21 @@ def _csv_blocks(path: Path):
 
 
 def _csv_rows(path: Path):
-    """The non-empty rows of a CSV file, one at a time, as the csv module reads them.
+    """The non-empty rows of a CSV file, one at a time, read by the csv module.
 
     This is the text path, which reads any file; :func:`_csv_blocks`
-    reads a plain file faster.  One line is held at a time.  A line with
-    no ``"`` is split on commas once its line terminator is stripped;
-    under the default dialect, and with the file opened with
-    ``newline=""``, that is exactly the row csv.reader gives, and an
-    empty line gives none.
-    From the first line that holds a ``"`` on, the csv module reads the
-    rest of the file, since a quoted field may hold commas and line
-    breaks.  A field may be as long as the file (a workload range row
-    over d bins is 4d - 1 characters), so the process-wide csv field
-    limit is raised to the file size while the csv module reads, and
+    reads a plain file faster.  One line is held at a time, and the file
+    is opened with ``newline=""``, so a quoted field may hold commas and
+    line breaks.  A field may be as long as the file (a workload range
+    row over d bins is 4d - 1 characters), so the process-wide csv field
+    limit is raised to the file size while the file is read, and
     restored when the generator ends or is closed.  A file the csv
     module cannot read raises ValueError with the path and line, and so
     does a NUL byte on every Python version (csv refuses it on 3.10
     only; later versions would keep it as a character of a field).
     """
     with open(path, newline="") as fh:
-        lines = _nul_free_lines(fh, path)
-        for n, line in enumerate(lines, start=1):
-            if '"' in line:
-                break
-            text = line.rstrip("\r\n")
-            if text:
-                yield text.split(",")
-        else:
-            return
-        reader = csv.reader(itertools.chain([line], lines))
+        reader = csv.reader(_nul_free_lines(fh, path))
         limit = csv.field_size_limit()
         csv.field_size_limit(max(limit, min(os.fstat(fh.fileno()).st_size, 2**31 - 1)))
         try:
@@ -226,7 +211,7 @@ def _csv_rows(path: Path):
                 if row:
                     yield row
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {n - 1 + reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         finally:
             csv.field_size_limit(limit)
 

@@ -393,7 +393,8 @@ def load_workload_csv(path) -> Workload:
     and its coefficients are never parsed.  Every other row, and every
     row of a file that is not plain, is parsed on its own by
     :func:`_read_row` and checked by the rules :class:`LinearQuery`
-    applies, without building one.  Every range row is stored as its 0/1
+    applies, without building one; a file that is not plain is read
+    again from its first line by the csv module.  Every range row is stored as its 0/1
     indicator.  A bad file is reported at its first bad row.
     """
     path = Path(path)
@@ -413,11 +414,12 @@ def load_workload_csv(path) -> Workload:
 
 
 def _text_rows(path: Path):
-    """(d, kinds, lo, hi, parsed) of any workload CSV, read a row at a time through _csv_rows.
+    """(d, kinds, lo, hi, parsed) of any workload CSV, read a row at a time by the csv module.
 
-    lo and hi are int64 arrays, with the empty range [0, -1] for a row
-    that is not a range; parsed maps the index of each such row to its
-    coefficients.
+    The rows come from :func:`~mldp.histogram._csv_rows`, so a quoted
+    field loads as its unquoted text.  lo and hi are int64 arrays, with
+    the empty range [0, -1] for a row that is not a range; parsed maps
+    the index of each such row to its coefficients.
     """
     d, kinds, lo, hi, parsed = None, [], [], [], {}
     with contextlib.closing(_csv_rows(path)) as rows:

@@ -407,14 +407,12 @@ class TestRunSweepAndReports:
             overlap = row["train_test_overlap"]
             assert type(overlap) is (float if row["mechanism"] == "mldp" else type(None))
 
-    @pytest.mark.parametrize(
-        "value, error",
-        [(math.nan, ValueError), (math.inf, ValueError), (np.float32(1.5), TypeError)],
-    )
-    def test_a_json_report_it_cannot_hold_writes_no_file(self, tmp_path, report, value, error):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float32(1.5)], ids=repr)
+    def test_a_json_report_it_cannot_hold_writes_no_file(self, tmp_path, report, value):
+        """Each raises ValueError, the one error mldp.cli reports for a bad input."""
         rows = [{**report["rows"][0], "mean_mae": value}, *report["rows"][1:]]
         path = tmp_path / "r.json"
-        with pytest.raises(error):
+        with pytest.raises(ValueError):
             emit_report({**report, "rows": rows}, path)
         assert not path.exists()
 

@@ -302,6 +302,14 @@ class TestBench:
         assert doc["sweep_variable"] == "test_m"
         assert len(doc["rows"]) == 1
 
+    def test_rejects_malformed_json_before_writing(self, capsys, tmp_path):
+        config = tmp_path / "broken.json"
+        config.write_text("{not json")
+        out = tmp_path / "r.json"
+        assert main(["bench", str(config), "--out", str(out)]) == 2
+        assert f"error: {config}: not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_unknown_report_extension(self, capsys, tmp_path):
         rc = main(["bench", self.bench_config(tmp_path), "--out", str(tmp_path / "r.txt")])
         assert rc == 2
