@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from mldp import MldpConfig, PrivacyBudget, mldp_publish, predict
 from mldp.histogram import generate_simulated_histogram
-from mldp.learning import fit_linear, save_model
+from mldp.learning import DEFAULT_RBF_RIDGE, fit_linear, rbf_kernel, save_model
 from mldp.mechanisms import InsufficientBudgetError, laplace_batch
 from mldp.pipeline import (
     BoundParameters,
@@ -26,6 +27,9 @@ from mldp.seeds import derive_seed
 
 GOLDEN_MODEL_SHA256 = json.loads(
     (Path(__file__).parent / "data" / "golden_model_sha256.json").read_text()
+)
+GOLDEN_RBF_MODEL_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "golden_rbf_model_sha256.json").read_text()
 )
 
 ZERO_NOISE = dict(epsilon=math.inf, selection="singleton", learner="linear", ridge=0.0)
@@ -188,6 +192,43 @@ class TestPublish:
         save_model(model, tmp_path / "model.json")
         digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
         assert digest == GOLDEN_MODEL_SHA256[name]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RBF_MODEL_SHA256))
+    def test_rbf_model_file_matches_golden_digest(self, tmp_path, name):
+        """random_m rbf model files keep their bytes.
+
+        Keys read "<pool>/d=<d>/m=<m>" (the subsets pool stops at d=20).
+        Each digest is the sha256 of the file save_model writes for
+        mldp_publish(generate_simulated_histogram(d, 1000, seed=7),
+        MldpConfig(1.0, "random_m", m, "rbf", pool=pool, seed=11)).  The
+        LAPACK solve can move the last bits of the weights with the BLAS
+        thread count, so the digests were written, and are compared, at
+        one thread.  At other counts the weights are compared, to rtol
+        1e-9, with a solve of the whole rbf_kernel matrix.
+        """
+        pool, d, m = name.split("/")
+        d, m = int(d[2:]), int(m[2:])
+        hist = generate_simulated_histogram(d, 1000, seed=7)
+        config = MldpConfig(
+            epsilon=1.0, selection="random_m", m=m, learner="rbf", pool=pool, seed=11
+        )
+        model = mldp_publish(hist, config, PrivacyBudget(1.0))
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            save_model(model, tmp_path / "model.json")
+            digest = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+            assert digest == GOLDEN_RBF_MODEL_SHA256[name]
+        else:
+            noisy = laplace_batch(
+                training_workload_for(d, config),
+                hist,
+                PrivacyBudget(1.0),
+                1.0,
+                derive_seed(config.seed, "noise"),
+            )
+            rows = noisy.workload.matrix
+            kernel = rbf_kernel(rows, rows, model.width_u)
+            want = np.linalg.solve(kernel + DEFAULT_RBF_RIDGE * np.eye(m), noisy.answers)
+            np.testing.assert_allclose(model.weights, want, rtol=1e-9, atol=0)
 
     def test_random_m_uses_the_requested_pool(self, hist4):
         config = MldpConfig(epsilon=1.0, selection="random_m", m=6, pool="subsets", seed=0)
