@@ -61,6 +61,9 @@ DEFAULT_RBF_RIDGE = 1e-3
 # at one BLAS thread; see predict.
 _PREDICT_BLOCK = 512
 
+# Range rows whose integer distances _kernel_blocks works out at a time.
+_KERNEL_CHUNK = 64
+
 
 def _check_int(value, field: str, config: str) -> None:
     """Refuse, not coerce, a non-int (bool, float, str, ...) integer field."""
@@ -344,6 +347,56 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
+def _kernel_blocks(workload: Workload, centers: np.ndarray, width_u: float, spans):
+    """Yield rbf_kernel(workload.matrix[a:b], centers, width_u) for each (a, b) in spans.
+
+    When every row is a range and every center entry is 0 or 1, the
+    squared distance of range [l, h] to center c is the integer
+    (h - l + 1) + |c| - 2 (P_c[h + 1] - P_c[l]), P_c being c's prefix
+    count over the bins, and the kernel entry is table[distance] for a
+    (d + 1)-entry table of exp(-k / (2 u^2)).  Those are the bits of
+    rbf_kernel: its sums and products of 0/1 rows are exact integers,
+    and the table applies the same division and np.exp to them.  The
+    blocks are then views of one buffer, each valid until the next is
+    drawn; memory is two (d + 1) x centers int32 tables plus the largest
+    block.  Any other rows or centers take rbf_kernel.
+    """
+    if workload._kinds.count("range") < workload.m or not (
+        (centers == 0.0) | (centers == 1.0)
+    ).all():
+        for a, b in spans:
+            yield rbf_kernel(workload.matrix[a:b], centers, width_u)
+        return
+    d, n = workload.d, len(centers)
+    table = np.exp(-np.arange(d + 1, dtype=float) / (2.0 * width_u * width_u))
+    # The distance of [l, h] is lower[l] + upper[h + 1], with
+    # lower[j] = 2 P[j] - j and upper[j] = |c| + j - 2 P[j].
+    lower = np.zeros((d + 1, n), dtype=np.int32)
+    np.cumsum(centers.T, axis=0, out=lower[1:], dtype=np.int32)
+    bins = np.arange(d + 1, dtype=np.int32)[:, None]
+    upper = lower[-1] + bins
+    upper -= lower
+    upper -= lower
+    lower *= 2
+    lower -= bins
+    lo = np.asarray(workload._lo, dtype=np.intp)
+    past = np.asarray(workload._hi, dtype=np.intp) + 1
+    buffer = np.empty((max(b - a for a, b in spans), n))
+    chunk = min(_KERNEL_CHUNK, len(buffer))
+    left = np.empty((chunk, n), dtype=np.int32)
+    right = np.empty((chunk, n), dtype=np.int32)
+    distances = np.empty((chunk, n), dtype=np.intp)
+    # Every index is in range; mode="clip" lets np.take write straight into out.
+    for a, b in spans:
+        for s in range(a, b, chunk):
+            e = min(s + chunk, b)
+            np.take(lower, lo[s:e], axis=0, out=left[: e - s], mode="clip")
+            np.take(upper, past[s:e], axis=0, out=right[: e - s], mode="clip")
+            np.add(left[: e - s], right[: e - s], out=distances[: e - s])
+            np.take(table, distances[: e - s], out=buffer[s - a : e - a], mode="clip")
+        yield buffer[: b - a]
+
+
 def median_pairwise_distance(features: np.ndarray) -> float:
     """Median Euclidean distance between distinct feature rows.
 
@@ -383,8 +436,10 @@ def fit_rbf(
     if width_u is None:
         width_u = median_pairwise_distance(features)
     width_u = float(width_u)
-    kernel = rbf_kernel(features, features, width_u)
-    alpha = np.linalg.solve(kernel + ridge * np.eye(training.workload.m), training.answers)
+    (kernel,) = _kernel_blocks(training.workload, features, width_u, [(0, training.workload.m)])
+    # In place, the bits of kernel + ridge * I with no m x m temporaries.
+    kernel[np.diag_indices_from(kernel)] += ridge
+    alpha = np.linalg.solve(kernel, training.answers)
     return PublishedModel(
         kind="rbf",
         d=training.workload.d,
@@ -411,19 +466,44 @@ def predict(model: PublishedModel, workload: Workload) -> np.ndarray:
     # grows with the centers, not with queries x centers.  A one-row
     # tail joins the block before it: numpy answers a single row by the
     # matrix-vector path, whose last bits differ from the matrix product.
-    rows = workload.matrix
     m = workload.m
     starts = list(range(0, m, _PREDICT_BLOCK))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
+    spans = list(zip(starts, starts[1:] + [m]))
     answers = np.empty(m)
-    for a, b in zip(starts, starts[1:] + [m]):
-        answers[a:b] = rbf_kernel(rows[a:b], model.centers, model.width_u) @ model.weights
+    kernels = _kernel_blocks(workload, model.centers, model.width_u, spans)
+    for (a, b), kernel in zip(spans, kernels):
+        answers[a:b] = kernel @ model.weights
     return answers
 
 
 def save_model(model: PublishedModel, path) -> None:
-    """Serialize a model to JSON with full float precision."""
+    """Serialize a model to JSON with full float precision.
+
+    A model :func:`load_model` would refuse, or that strict JSON cannot
+    hold, raises ValueError naming the field before the path is opened:
+    weights, centers, width_u and meta's sensitivity and mu must be
+    finite, the sensitivity non-negative and epsilon_consumed positive.
+    Only epsilon_consumed may be infinite, from the noise-disabled mode;
+    the file spells it Infinity.
+    """
+    finite = {"weights": model.weights, "centers": model.centers, "width_u": model.width_u}
+    if model.meta is not None:
+        if not model.meta.epsilon_consumed > 0:
+            raise ValueError(
+                f"meta.epsilon_consumed must be positive to save a model, "
+                f"got {model.meta.epsilon_consumed!r}"
+            )
+        if not model.meta.sensitivity >= 0:
+            raise ValueError(
+                f"meta.sensitivity must be non-negative to save a model, "
+                f"got {model.meta.sensitivity!r}"
+            )
+        finite.update({"meta.sensitivity": model.meta.sensitivity, "meta.mu": model.meta.mu})
+    for field, value in finite.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{field} must be finite to save a model")
     doc = {
         "kind": model.kind,
         "d": model.d,
@@ -434,8 +514,9 @@ def save_model(model: PublishedModel, path) -> None:
     }
     # json.dumps runs the C encoder; json.dump streams through the
     # pure-Python one, several times slower on rbf centers.
+    text = json.dumps(doc)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(text)
         fh.write("\n")
 
 

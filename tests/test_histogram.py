@@ -168,7 +168,7 @@ def _csv_module_rows(path):
 @settings(max_examples=1000)
 @given(st.text(alphabet=',"\r\n aZ09', max_size=40))
 def test_csv_rows_match_the_csv_module(tmp_path_factory, text):
-    """Quote-free lines are split on commas; the rest is csv's, line endings included."""
+    """The rows, and the error of a malformed file, are csv's, line endings included."""
     p = tmp_path_factory.mktemp("csv") / "t.csv"
     with open(p, "w", newline="") as fh:
         fh.write(text)

@@ -379,6 +379,143 @@ class TestKernel:
         assert median_pairwise_distance(np.ones((4, 3))) == 1.0
 
 
+KERNEL_WIDTHS = (1e-3, 1.0, 10.0, 1e3)
+
+# (d, centers): random_m centers over both pools (subsets stop at d=20) and singletons.
+TABLE_CASES = [
+    (d, source)
+    for d in (1, 2, 3, 16, 256, 1024)
+    for source in ("ranges", "subsets", "singletons")
+    if source != "subsets" or d <= 16
+]
+
+
+def table_centers(d, source):
+    """0/1 centers from a selection, then the empty row and the complement of [0, 0].
+
+    Those two lie d apart from the ranges [0, d - 1] and [0, 0] that
+    table_queries starts with, so the table's last entry is read.
+    """
+    if source == "singletons":
+        rows = select_training_set(d, "singleton").matrix
+    else:
+        rows = select_training_set(d, "random_m", m=60, seed=d, pool=source).matrix
+    extra = np.zeros((2, d))
+    extra[1, 1:] = 1.0
+    return np.vstack([rows, extra])
+
+
+def table_queries(d, m, seed):
+    """m ranges: [0, d - 1] and [0, 0] (as many as fit), then random bounds."""
+    a, b = np.random.default_rng(seed).integers(0, d, size=(2, m))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo[:2], hi[:2] = 0, [d - 1, 0][: min(m, 2)]
+    return range_workload(d, lo, hi)
+
+
+def spy_on_rbf_kernel(monkeypatch):
+    """Count the rows of each rbf_kernel call from learning; the kernels are unchanged."""
+    rows = []
+
+    def spy(a, b, width_u):
+        rows.append(len(a))
+        return rbf_kernel(a, b, width_u)
+
+    monkeypatch.setattr(learning, "rbf_kernel", spy)
+    return rows
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("d, source", TABLE_CASES)
+    def test_range_rows_get_the_bits_of_rbf_kernel(self, monkeypatch, d, source):
+        centers = table_centers(d, source)
+        queries = table_queries(d, 300, seed=d)
+        want = {u: rbf_kernel(queries.matrix, centers, u) for u in KERNEL_WIDTHS}
+        calls = spy_on_rbf_kernel(monkeypatch)
+        for u in KERNEL_WIDTHS:
+            (got,) = learning._kernel_blocks(queries, centers, u, [(0, queries.m)])
+            assert got.tobytes() == want[u].tobytes(), u
+        assert calls == []
+
+    def test_each_block_is_rbf_kernel_of_its_rows(self):
+        """Blocks share one buffer; chunks of 64 rows cut through them."""
+        d = 16
+        centers = table_centers(d, "subsets")
+        queries = table_queries(d, 1100, seed=5)
+        spans = [(0, 1), (1, 64), (64, 65), (65, 129), (129, 642), (642, 1100)]
+        for (a, b), block in zip(spans, learning._kernel_blocks(queries, centers, 1.0, spans)):
+            want = rbf_kernel(queries.matrix[a:b], centers, 1.0)
+            assert block.tobytes() == want.tobytes(), (a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("d, source", [(3, "subsets"), (16, "singletons"), (256, "ranges")])
+    def test_answers_equal_the_whole_kernel_product(self, monkeypatch, d, source, m):
+        """Bitwise at one BLAS thread, as test_rbf_answers_equal_the_whole_kernel_product."""
+        centers = table_centers(d, source)
+        model = PublishedModel(
+            kind="rbf",
+            d=d,
+            weights=np.random.default_rng(m).normal(size=len(centers)),
+            centers=centers,
+            width_u=1.5,
+        )
+        queries = table_queries(d, m, seed=m)
+        want = rbf_kernel(queries.matrix, centers, model.width_u) @ model.weights
+        calls = spy_on_rbf_kernel(monkeypatch)
+        got = predict(model, queries)
+        assert calls == []
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "row, center",
+        [
+            (LinearQuery([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0], kind="subset"), None),
+            (LinearQuery([0.5, -2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), None),
+            (None, 0.5),
+            (None, 2.0),
+        ],
+        ids=["subset-row", "general-row", "half-center", "two-center"],
+    )
+    def test_other_rows_or_centers_take_rbf_kernel(self, monkeypatch, row, center):
+        d = 8
+        centers = table_centers(d, "ranges")
+        queries = list(table_queries(d, 600, seed=1))
+        if row is not None:
+            queries[300] = row
+        if center is not None:
+            centers[3, 2] = center
+        queries = Workload(d, queries)
+        model = PublishedModel(
+            kind="rbf",
+            d=d,
+            weights=np.random.default_rng(2).normal(size=len(centers)),
+            centers=centers,
+            width_u=2.0,
+        )
+        want = rbf_kernel(queries.matrix, centers, model.width_u) @ model.weights
+        calls = spy_on_rbf_kernel(monkeypatch)
+        got = predict(model, queries)
+        assert calls == [512, 88]
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("pool, calls", [("ranges", []), ("subsets", [40])])
+    def test_fit_takes_rbf_kernel_for_subset_rows_only(self, monkeypatch, pool, calls):
+        workload = select_training_set(12, "random_m", m=40, seed=3, pool=pool)
+        release = NoisyAnswerSet(workload, np.arange(40.0), 1.0, 1.0, seed=None)
+        kernel = rbf_kernel(workload.matrix, workload.matrix, 2.0)
+        want = np.linalg.solve(kernel + learning.DEFAULT_RBF_RIDGE * np.eye(40), release.answers)
+        seen = spy_on_rbf_kernel(monkeypatch)
+        got = fit_rbf(release, width_u=2.0).weights
+        assert seen == calls
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFitRbf:
     def test_near_interpolation_with_small_ridge(self, ranges4):
         rng = np.random.default_rng(5)
@@ -436,6 +573,7 @@ class TestFitRbf:
         t = NoisyAnswerSet(ranges4, np.arange(10.0), 6.0, 1.0, seed=None)
         kernels = []
         monkeypatch.setattr(learning, "rbf_kernel", lambda *args: kernels.append(args))
+        monkeypatch.setattr(learning, "_kernel_blocks", lambda *args: kernels.append(args))
         with pytest.raises(ValueError, match=re.escape(message)):
             fit_rbf(t, **options)
         assert kernels == []
@@ -529,6 +667,42 @@ class TestModelFiles:
         np.testing.assert_array_equal(again.centers, model.centers)
         np.testing.assert_array_equal(predict(again, ranges4), predict(model, ranges4))
         assert again.meta.mu == model.meta.mu
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("weights", {"weights": np.array([np.nan, 1.0])}),
+            ("weights", {"weights": np.array([1.0, -np.inf])}),
+            ("centers", {"centers": np.array([[1.0, np.nan], [0.0, 1.0]])}),
+            ("centers", {"centers": np.array([[1.0, 0.0], [np.inf, 1.0]])}),
+            ("width_u", {"width_u": math.inf}),
+            ("meta.sensitivity", {"meta": ModelMeta(1.0, 2, math.nan)}),
+            ("meta.sensitivity", {"meta": ModelMeta(1.0, 2, math.inf)}),
+            ("meta.sensitivity", {"meta": ModelMeta(1.0, 2, -1.0)}),
+            ("meta.mu", {"meta": ModelMeta(1.0, 2, 1.0, mu=math.nan)}),
+            ("meta.epsilon_consumed", {"meta": ModelMeta(math.nan, 2, 1.0)}),
+            ("meta.epsilon_consumed", {"meta": ModelMeta(0.0, 2, 1.0)}),
+        ],
+    )
+    def test_refuses_a_number_load_or_strict_json_refuses_before_opening_the_path(
+        self, tmp_path, field, change
+    ):
+        """Only meta.epsilon_consumed may be infinite (see test_infinite_epsilon_round_trips)."""
+        fields = dict(
+            kind="rbf",
+            d=2,
+            weights=np.array([0.5, 1.0]),
+            centers=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            width_u=1.0,
+            meta=ModelMeta(1.0, 2, 1.0),
+        )
+        p = tmp_path / "model.json"
+        save_model(PublishedModel(**fields), p)
+        load_model(p)
+        p.unlink()
+        with pytest.raises(ValueError, match=re.escape(field)):
+            save_model(PublishedModel(**{**fields, **change}), p)
+        assert not p.exists()
 
     def test_infinite_epsilon_round_trips(self, tmp_path, hist4):
         model = fit_linear(singleton_training(hist4))
