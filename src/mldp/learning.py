@@ -382,14 +382,13 @@ def _kernel_blocks(workload: Workload, centers: np.ndarray, width_u: float, span
     lo = np.asarray(workload._lo, dtype=np.intp)
     past = np.asarray(workload._hi, dtype=np.intp) + 1
     buffer = np.empty((max(b - a for a, b in spans), n))
-    chunk = min(_KERNEL_CHUNK, len(buffer))
-    left = np.empty((chunk, n), dtype=np.int32)
-    right = np.empty((chunk, n), dtype=np.int32)
-    distances = np.empty((chunk, n), dtype=np.intp)
+    left = np.empty((_KERNEL_CHUNK, n), dtype=np.int32)
+    right = np.empty((_KERNEL_CHUNK, n), dtype=np.int32)
+    distances = np.empty((_KERNEL_CHUNK, n), dtype=np.intp)
     # Every index is in range; mode="clip" lets np.take write straight into out.
     for a, b in spans:
-        for s in range(a, b, chunk):
-            e = min(s + chunk, b)
+        for s in range(a, b, _KERNEL_CHUNK):
+            e = min(s + _KERNEL_CHUNK, b)
             np.take(lower, lo[s:e], axis=0, out=left[: e - s], mode="clip")
             np.take(upper, past[s:e], axis=0, out=right[: e - s], mode="clip")
             np.add(left[: e - s], right[: e - s], out=distances[: e - s])
