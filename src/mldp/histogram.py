@@ -31,9 +31,6 @@ _HEADER = ("label", "count")
 
 _CSV_INT = re.compile(r"[+-]?[0-9]+")
 
-# About this many bytes of a plain CSV file are read and checked at once.
-_BLOCK_BYTES = 1 << 20
-
 
 class Histogram:
     """Immutable vector of non-negative bin counts with optional labels."""
@@ -134,68 +131,14 @@ def load_histogram_csv(path) -> Histogram:
     return Histogram(counts, labels)
 
 
-def _csv_blocks(path: Path):
-    """The non-empty lines of a plain CSV file, about 1 MiB of whole lines at a time.
-
-    Yields ``(data, starts, ends)``: bytes holding a block of whole lines
-    (and possibly the start of the next block), with the start and end
-    offsets of each non-empty line in it, its line terminator excluded.
-    A block is plain when it is ASCII and holds no NUL, no ``"`` and no
-    ``\r`` outside ``\r\n``.  Then a line split on commas is exactly
-    the row :func:`_csv_rows` gives for it: the lines end at ``\n``, with
-    one ``\r`` before it stripped, and an empty line gives no row.  At
-    the first block that is not plain, yields None and stops; the
-    caller then reads the whole file through :func:`_csv_rows`.  The
-    file is never held whole: a block ends at the last line break of
-    the bytes read so far, so it is one line when a line is longer than
-    a block.
-    """
-    with open(path, "rb") as fh:
-        tail = b""
-        while True:
-            # Reading as much as the tail holds doubles what is held of a line
-            # longer than a block, so reading it stays linear in its length.
-            chunk = fh.read(max(_BLOCK_BYTES, len(tail)))
-            if chunk:
-                data = tail + chunk
-                cut = data.rfind(b"\n") + 1
-                if not cut:
-                    tail = data
-                    continue
-            elif tail:
-                # An unterminated last line reads as if it ended in a line break.
-                data = tail + b"\n"
-                cut = len(data)
-            else:
-                return
-            tail = data[cut:]
-            buf = np.frombuffer(data, np.uint8, count=cut)
-            ends = np.flatnonzero(buf == ord("\n"))
-            crlf = buf[ends - 1] == ord("\r")
-            # A NUL, quote or non-ASCII byte in the tail is seen one block early, which
-            # changes nothing: the caller reads the whole file again.
-            if not (
-                data.isascii()
-                and b"\0" not in data
-                and b'"' not in data
-                and np.count_nonzero(buf == ord("\r")) == np.count_nonzero(crlf)
-            ):
-                yield None
-                return
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            ends -= crlf
-            full = ends > starts
-            yield data, starts[full], ends[full]
-
-
 def _csv_rows(path: Path):
     """The non-empty rows of a CSV file, one at a time, read by the csv module.
 
-    This is the text path, which reads any file; :func:`_csv_blocks`
-    reads a plain file faster.  One line is held at a time, and the file
-    is opened with ``newline=""``, so a quoted field may hold commas and
-    line breaks.  A field may be as long as the file (a workload range
-    row over d bins is 4d - 1 characters), so the process-wide csv field
+    This is the one CSV reader of histogram and workload files.  One
+    line is held at a time, and the file is opened with ``newline=""``,
+    so a quoted field may hold commas and line breaks.  A field may be
+    as long as the file (a workload row spelling d coefficients is
+    2d - 1 characters or more), so the process-wide csv field
     limit is raised to the file size while the file is read, and
     restored when the generator ends or is closed.  A file the csv
     module cannot read raises ValueError with the path and line, and so
@@ -242,7 +185,8 @@ def _csv_int(text: str) -> int:
     ``int`` alone would also take underscores and non-ASCII digits
     ("1_000", "\u0661"); raises ValueError for anything else.
     """
-    if not _CSV_INT.fullmatch(text):
+    # An ASCII string that isdigit() accepts is [0-9]+; the regex is for a sign.
+    if not (text.isascii() and text.isdigit()) and not _CSV_INT.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .histogram import Histogram, _csv_blocks, _csv_int, _csv_rows, _integer, neighbor
+from .histogram import Histogram, _csv_int, _csv_rows, _integer, neighbor
 
 __all__ = [
     "LinearQuery",
@@ -354,13 +354,17 @@ def random_range_workload(d: int, m: int, seed: int) -> Workload:
 def save_workload_csv(workload: Workload, path) -> None:
     """Write a workload as CSV with columns kind, lo, hi, coeffs.
 
-    The coeffs column always holds the full space-separated coefficient
-    vector, each coefficient spelled by ``repr``, so the file is
-    self-contained; lo/hi are filled for range queries only.  A range
-    row's coefficients are its 0/1 indicator, so its coeffs field is
-    :func:`_range_text` of its bounds rather than d formatted floats,
-    and :func:`load_workload_csv` reads it back without parsing them.
+    lo/hi are filled for range queries only.  The first row spells all
+    its coefficients, which give the file its width d.  After it, a
+    range row is ``range,<lo>,<hi>,`` with an empty coeffs field, since
+    its coefficients are the 0/1 indicator of its bounds.  Other rows
+    spell their coefficients space-separated, each by ``repr``; so does
+    a first range row, as :func:`_range_text` of its bounds.  A workload
+    with no queries raises ValueError before the path is opened, since
+    :func:`load_workload_csv` refuses a file with no rows.
     """
+    if not workload.m:
+        raise ValueError("a workload with no queries cannot be saved: the file would have no rows")
     d = workload.d
     matrix = workload.matrix
     with open(path, "w", newline="") as fh:
@@ -370,13 +374,13 @@ def save_workload_csv(workload: Workload, path) -> None:
         fh.write("kind,lo,hi,coeffs\r\n")
         for i, (kind, lo, hi) in enumerate(zip(workload._kinds, workload._lo, workload._hi)):
             if kind == "range":
-                fh.write(f"range,{lo},{hi},{_range_text(d, lo, hi)}\r\n")
+                fh.write(f"range,{lo},{hi},{_range_text(d, lo, hi) if i == 0 else ''}\r\n")
             else:
                 fh.write(f"{kind},,,{' '.join(map(repr, matrix[i].tolist()))}\r\n")
 
 
 def _range_text(d: int, lo: int, hi: int) -> str:
-    """The coeffs field :func:`save_workload_csv` writes for the range [lo, hi] over d bins."""
+    """The coefficients of the range [lo, hi] over d bins as ``1.0``/``0.0`` joined by spaces."""
     return ("0.0 " * lo + "1.0 " * (hi - lo + 1) + "0.0 " * (d - hi - 1))[:-1]
 
 
@@ -384,24 +388,19 @@ def load_workload_csv(path) -> Workload:
     """Read a workload CSV with columns kind, lo, hi, coeffs.
 
     Any spelling of the coefficients that ``np.loadtxt`` reads as floats
-    is accepted.  The data rows are read in one pass, in file order.  A
-    plain file (see :func:`~mldp.histogram._csv_blocks`), which is every
-    file :func:`save_workload_csv` writes, is read about 1 MiB of lines
-    at a time: a range row whose line is exactly what that writer writes
-    for its bounds is a template row, found with the others of its block
-    by :func:`_template_bounds`; its matrix row is built from the bounds
-    and its coefficients are never parsed.  Every other row, and every
-    row of a file that is not plain, is parsed on its own by
-    :func:`_read_row` and checked by the rules :class:`LinearQuery`
-    applies, without building one; a file that is not plain is read
-    again from its first line by the csv module.  Every range row is stored as its 0/1
-    indicator.  A bad file is reported at its first bad row.
+    is accepted.  The rows are read in one pass, in file order, by the
+    csv module, so a quoted field loads as its unquoted text.  The first
+    data row must spell its coefficients, which set d.  After it, a
+    range row whose coeffs field is blank is read from its bounds alone,
+    as is one whose coeffs field is exactly :func:`_range_text` of its
+    bounds (how files were written before range rows dropped their
+    coefficients); their coefficients are never parsed.  Every other row
+    is parsed on its own by :func:`_read_row` and checked by the rules
+    :class:`LinearQuery` applies, without building one.  Every range row
+    is stored as its 0/1 indicator.  A bad file is reported at its first
+    bad row.
     """
-    path = Path(path)
-    rows = _plain_rows(path)
-    if rows is None:
-        rows = _text_rows(path)
-    d, kinds, lo, hi, parsed = rows
+    d, kinds, lo, hi, parsed = _text_rows(Path(path))
     # A range row is its indicator; every other row has the empty range
     # [0, -1], then its coefficients.
     matrix = _range_indicators(d, lo, hi).astype(float)
@@ -414,110 +413,61 @@ def load_workload_csv(path) -> Workload:
 
 
 def _text_rows(path: Path):
-    """(d, kinds, lo, hi, parsed) of any workload CSV, read a row at a time by the csv module.
+    """(d, kinds, lo, hi, parsed) of a workload CSV, read a row at a time by the csv module.
 
-    The rows come from :func:`~mldp.histogram._csv_rows`, so a quoted
-    field loads as its unquoted text.  lo and hi are int64 arrays, with
-    the empty range [0, -1] for a row that is not a range; parsed maps
-    the index of each such row to its coefficients.
+    The rows come from :func:`~mldp.histogram._csv_rows`.  lo and hi
+    are int64 arrays, with the empty range [0, -1] for a row that is
+    not a range; parsed maps the index of each such row to its
+    coefficients.
     """
     d, kinds, lo, hi, parsed = None, [], [], [], {}
     with contextlib.closing(_csv_rows(path)) as rows:
-        _check_header(path, next(rows, None))
-        for i, row in enumerate(rows):
-            kind, coeffs, a, b = _numbered_row(path, i, row, d)
-            d = coeffs.size
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if tuple(c.strip().lower() for c in header) != ("kind", "lo", "hi", "coeffs"):
+            raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
+        for i, row in enumerate(rows, start=1):
+            try:
+                kind, coeffs, a, b = _read_row(row, d)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+            if d is None:
+                d = coeffs.size
             kinds.append(kind)
             lo.append(a)
             hi.append(b)
             if kind != "range":
-                parsed[i] = coeffs
+                parsed[i - 1] = coeffs
     if d is None:
         raise ValueError(f"{path}: no data rows")
     return d, kinds, np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), parsed
 
 
-def _plain_rows(path: Path):
-    """What :func:`_text_rows` returns, read a block at a time; None if the file is not plain.
-
-    The template rows of a block are found at once by
-    :func:`_template_bounds`; every other row goes through
-    :func:`_read_row`, in file order.  The first data row sets d: a
-    template row by the length of its coefficients, any other by their
-    parse.
-    """
-    header, d, kinds, lo, hi, parsed = None, None, [], [], [], {}
-    with contextlib.closing(_csv_blocks(path)) as blocks:
-        for block in blocks:
-            if block is None:
-                return None
-            data, starts, ends = block
-            if header is None and starts.size:
-                header = data[starts[0] : ends[0]].decode("ascii").split(",")
-                _check_header(path, header)
-                starts, ends = starts[1:], ends[1:]
-            if not starts.size:
-                continue
-            n = len(kinds)
-            block_kinds = ["range"] * starts.size
-            a, b = np.full(starts.size, -1), np.full(starts.size, -1)
-
-            def read(j):
-                row = data[starts[j] : ends[j]].decode("ascii").split(",")
-                kind, coeffs, a[j], b[j] = _numbered_row(path, n + j, row, d)
-                block_kinds[j] = kind
-                if kind != "range":
-                    parsed[n + j] = coeffs
-                return coeffs.size
-
-            done = 0
-            if d is None:
-                # The first data row: a template row over d bins ends in the
-                # 4d - 1 characters after its last comma; any other row is parsed.
-                width = max(1, (ends[0] - data.rfind(b",", starts[0], ends[0])) // 4)
-                a[:1], b[:1] = _template_bounds(data, starts[:1], ends[:1], width)
-                d = width if a[0] >= 0 else read(0)
-                done = 1
-            a[done:], b[done:] = _template_bounds(data, starts[done:], ends[done:], d)
-            for j in np.flatnonzero(a < 0).tolist():
-                read(j)
-            kinds += block_kinds
-            lo.append(a)
-            hi.append(b)
-    if header is None:
-        _check_header(path, None)
-    if d is None:
-        raise ValueError(f"{path}: no data rows")
-    return d, kinds, np.concatenate(lo), np.concatenate(hi), parsed
-
-
-def _check_header(path: Path, header) -> None:
-    """ValueError unless header (a list of fields, None for an empty file) is kind,lo,hi,coeffs."""
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    if tuple(c.strip().lower() for c in header) != ("kind", "lo", "hi", "coeffs"):
-        raise ValueError(f"{path}: expected header 'kind,lo,hi,coeffs'")
-
-
-def _numbered_row(path: Path, i: int, row, d: int | None):
-    """:func:`_read_row` of data row i (counted from 0), its error naming the path and row i + 1."""
-    try:
-        return _read_row(row, d)
-    except ValueError as exc:
-        raise ValueError(f"{path}: row {i + 1}: {exc}") from None
-
-
 def _read_row(row, d: int | None):
     """(kind, coeffs, lo, hi) of one valid CSV data row.
 
-    ``d`` is the width every row must have, None for the first row.  A
-    row that is not a range has the empty range lo, hi = 0, -1.  Raises
-    ValueError for the first fault, in the order columns, coefficients,
-    width, bounds, query rules.
+    ``d`` is the width every row must have, None for the first row.
+    After the first row, a range row whose coeffs field is blank or
+    exactly :func:`_range_text` of its bounds is read from its bounds,
+    with coeffs None.  A row that is not a range has the empty range
+    lo, hi = 0, -1.  Raises ValueError for the first fault, in the order
+    columns, coefficients, width, bounds, query rules; a blank coeffs
+    field is refused unless the row is such a range row.
     """
     if len(row) != 4:
         raise ValueError(f"expected 4 columns, got {len(row)}")
-    kind, lo_text, hi_text, text = [c.strip() for c in row]
+    kind, lo_text, hi_text, field = row
+    kind, lo_text, hi_text, text = kind.strip(), lo_text.strip(), hi_text.strip(), field.strip()
+    if kind == "range" and d is not None:
+        try:
+            lo, hi = _range_bounds(lo_text, hi_text, d)
+        except ValueError:
+            if not text:
+                raise
+        else:
+            if not text or field == _range_text(d, lo, hi):
+                return kind, None, lo, hi
     if not text:
         raise ValueError("empty coefficient list")
     try:
@@ -526,73 +476,23 @@ def _read_row(row, d: int | None):
         raise ValueError("bad coefficient list") from None
     if d is not None and coeffs.size != d:
         raise ValueError(f"expected {d} coefficients, got {coeffs.size}")
-    try:
-        bounds = _bound(lo_text), _bound(hi_text)
-    except ValueError:
-        raise ValueError(f"bad lo/hi {lo_text!r}, {hi_text!r}: expected integers") from None
-    coeffs, lo, hi = _checked_query(coeffs, kind, *bounds)
+    coeffs, lo, hi = _checked_query(coeffs, kind, *_bounds(lo_text, hi_text))
     return (kind, coeffs, lo, hi) if kind == "range" else (kind, coeffs, 0, -1)
 
 
-def _bound(text: str) -> int | None:
-    return _csv_int(text) if text else None
+def _bounds(lo_text: str, hi_text: str) -> tuple[int | None, int | None]:
+    """The lo and hi fields of a row as integers, None where empty."""
+    try:
+        return (_csv_int(lo_text) if lo_text else None), (_csv_int(hi_text) if hi_text else None)
+    except ValueError:
+        raise ValueError(f"bad lo/hi {lo_text!r}, {hi_text!r}: expected integers") from None
 
 
-# The coefficients "0.0 " and "1.0 " read as little-endian uint32; "1.0 " is _ZERO + 1.
-_ZERO = int.from_bytes(b"0.0 ", "little")
-
-
-def _template_bounds(data: bytes, starts: np.ndarray, ends: np.ndarray, d: int):
-    """(lo, hi) arrays for the lines data[starts[i]:ends[i]]: the bounds of each
-    line that is exactly ``range,<lo>,<hi>,`` and then :func:`_range_text`
-    of [lo, hi] over d bins, with lo and hi in ASCII digits and
-    ``0 <= lo <= hi < d``; -1 and -1 for every other line.
-
-    Each line must be followed in data by one more byte, its terminator.
-    Whole lines are checked at once, with no Python step per line.
-    """
-    lo, hi = np.full(starts.size, -1), np.full(starts.size, -1)
-    # A template line is "range,", then "<lo>,<hi>" in `size` bytes, then
-    # a comma and the 4d - 1 bytes of coefficients.  w digits hold any
-    # bound below d, so size is at most 2w + 1.
-    coeffs = ends - (4 * d - 1)
-    size = coeffs - 1 - (starts + 6)
-    w = len(str(d - 1))
-    i = np.flatnonzero((size >= 3) & (size <= 2 * w + 1))
-    if not i.size:
-        return lo, hi
-    buf = np.frombuffer(data, np.uint8)
-    head = sliding_window_view(buf, 2 * w + 7)[starts[i]]
-    size = size[i, None]
-    col = np.arange(2 * w + 1)
-    text = head[:, 6:]
-    inside = col < size
-    comma = (text == ord(",")) & inside
-    c = comma.argmax(axis=1)[:, None]  # where the comma between the bounds is
-    digit = text - np.uint8(ord("0"))  # a byte that is not a digit wraps to 10 or more
-    ok = (
-        (head[:, :6] == np.frombuffer(b"range,", np.uint8)).all(axis=1)
-        & (buf[coeffs[i] - 1] == ord(","))
-        & (comma.sum(axis=1) == 1)
-        & ((digit < 10) | comma | ~inside).all(axis=1)
-        & (c[:, 0] >= 1)
-        & (c[:, 0] <= size[:, 0] - 2)
-    )
-    # Each digit times its place value in its own bound.
-    place = np.where(col < c, c - 1 - col, size - 1 - col)
-    value = np.where(inside & ~comma, digit * 10 ** np.maximum(place, 0), 0)
-    a = np.where(col < c, value, 0).sum(axis=1)
-    b = value.sum(axis=1) - a
-    ok &= (a <= b) & (b < d)
-    i, a, b = i[ok], a[ok], b[ok]
-    if not i.size:
-        return lo, hi
-    # Each line's coefficients and its terminator, as d four-byte groups
-    # once the terminator reads as the space the last group lacks.
-    groups = sliding_window_view(buf, 4 * d)[coeffs[i]]
-    groups[:, -1] = ord(" ")
-    groups = groups.view("<u4")
-    groups -= np.uint32(_ZERO)
-    ok = (groups == _range_indicators(d, a, b)).all(axis=1)
-    lo[i[ok]], hi[i[ok]] = a[ok], b[ok]
+def _range_bounds(lo_text: str, hi_text: str, d: int) -> tuple[int, int]:
+    """The bounds of a range row over d bins; ValueError as :func:`_checked_query` words it."""
+    lo, hi = _bounds(lo_text, hi_text)
+    if lo is None or hi is None:
+        raise ValueError("range queries need lo and hi")
+    if not 0 <= lo <= hi < d:
+        raise ValueError(f"invalid range [{lo}, {hi}] for d={d}")
     return lo, hi

@@ -659,10 +659,10 @@ _CSV_HEADER_AND_ROW = {
 @pytest.mark.parametrize("loader", sorted(_CSV_LOADERS))
 @pytest.mark.parametrize("plain, line", [(0, 2), (1, 4)])
 def test_a_csv_error_is_a_value_error_naming_the_path(tmp_path, loader, plain, line, monkeypatch):
-    """The csv module reads from the first quoted line on; its error names the file's line.
+    """The csv module reads every line; its error names the line it stopped at.
 
-    With plain = 1 the first quote is on line 3 and the reader fails
-    after two lines, on line 4 of the file.
+    The refusing reader takes every line and fails after the last: line
+    2 of the file with plain = 0, line 4 with plain = 1.
     """
 
     class Refusing:
@@ -739,14 +739,20 @@ def test_loading_a_valid_file_builds_no_linear_query(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _repr_writer(workload: Workload, path) -> None:
-    """The per-coefficient writer save_workload_csv replaced."""
+def _repr_writer(workload: Workload, path, spell_ranges: bool = False) -> None:
+    """The per-coefficient writer save_workload_csv replaced.
+
+    A range row after the first holds its bounds alone; with
+    spell_ranges it holds every coefficient, as range rows were
+    written before.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "lo", "hi", "coeffs"])
         rows = zip(workload._kinds, workload._lo, workload._hi, workload.matrix.tolist())
-        for kind, lo, hi, coeffs in rows:
-            writer.writerow([kind, lo, hi, " ".join(map(repr, coeffs))])
+        for i, (kind, lo, hi, coeffs) in enumerate(rows):
+            bounds_only = kind == "range" and i > 0 and not spell_ranges
+            writer.writerow([kind, lo, hi, "" if bounds_only else " ".join(map(repr, coeffs))])
 
 
 def _edge_ranges(d: int) -> Workload:
@@ -758,23 +764,71 @@ def _edge_ranges(d: int) -> Workload:
     return Workload(d, ranges[:2] + [subset] + ranges[2:] + [general])
 
 
-@pytest.mark.parametrize(
-    "workload",
+_WRITTEN_WORKLOADS = (
     [_edge_ranges(d) for d in (1, 2, 3, 8)]
     + [_mixed_workload(d, m, seed) for d, m in ((1, 6), (5, 30), (64, 200)) for seed in (0, 1)]
-    + [random_range_workload(256, 500, seed=3), range_workload(1, [0], [0])],
-    ids=lambda w: f"d={w.d},m={w.m},{'+'.join(sorted(set(w._kinds)))}",
+    + [random_range_workload(256, 500, seed=3), range_workload(1, [0], [0])]
 )
+
+
+def _workload_id(w: Workload) -> str:
+    return f"d={w.d},m={w.m},{'+'.join(sorted(set(w._kinds)))}"
+
+
+@pytest.mark.parametrize("workload", _WRITTEN_WORKLOADS, ids=_workload_id)
 def test_writer_bytes_match_the_per_coefficient_writer(tmp_path, workload):
     save_workload_csv(workload, tmp_path / "new.csv")
     _repr_writer(workload, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_written_range_rows_are_read_without_parsing_coefficients(tmp_path, monkeypatch):
-    w = _mixed_workload(16, 200, seed=5)
+def test_a_workload_with_no_queries_is_refused_before_the_file_is_written(tmp_path):
     p = tmp_path / "w.csv"
-    save_workload_csv(w, p)
+    with pytest.raises(ValueError, match="no queries"):
+        save_workload_csv(Workload(3, []), p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("workload", _WRITTEN_WORKLOADS, ids=_workload_id)
+def test_both_spellings_of_range_rows_load_the_same_workload(tmp_path, workload):
+    """A file written before range rows dropped their coefficients loads as it did."""
+    loaded = []
+    for spell_ranges in (False, True):
+        p = tmp_path / f"w{spell_ranges:d}.csv"
+        _repr_writer(workload, p, spell_ranges)
+        loaded.append(load_workload_csv(p))
+    for w in loaded:
+        assert w == workload
+        np.testing.assert_array_equal(w.matrix.view(np.int64), workload.matrix.view(np.int64))
+        assert (w._kinds, w._lo, w._hi) == (workload._kinds, workload._lo, workload._hi)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["range,+3,5,", "range,3,+5,", "range, 03 ,5 ,", "range,3,5,   ", '"range","3","5",""'],
+)
+@pytest.mark.parametrize("spelled", ["range,3,5,{}", "range,+3,5,{}", "range,3,5, {} "])
+def test_a_bounds_only_row_loads_as_the_row_spelling_its_coefficients(tmp_path, row, spelled):
+    first = "general,,," + " ".join(["0.5"] * 8)
+    files = {
+        "bounds": f"kind,lo,hi,coeffs\r\n{first}\r\n{row}\r\n",
+        "spelled": f"kind,lo,hi,coeffs\r\n{first}\r\n{spelled.format(_template(8, 3, 5))}\r\n",
+    }
+    loaded = {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, newline="")
+        loaded[name] = load_workload_csv(tmp_path / name)
+    assert loaded["bounds"] == loaded["spelled"]
+    for w in loaded.values():
+        assert (w._kinds, w._lo, w._hi) == (("general", "range"), (None, 3), (None, 5))
+        np.testing.assert_array_equal(w.matrix[1], [0, 0, 0, 1, 1, 1, 0, 0])
+
+
+def test_written_range_rows_are_read_without_parsing_coefficients(tmp_path, monkeypatch):
+    """Only the first row and subset and general rows reach the parser, in either
+    spelling of the range rows after the first."""
+    w = Workload(16, [range_query(2, 9, 16), *_mixed_workload(16, 200, seed=5)])
+    p = tmp_path / "w.csv"
     parsed = []
     original = np.loadtxt
 
@@ -783,21 +837,32 @@ def test_written_range_rows_are_read_without_parsing_coefficients(tmp_path, monk
         return original(texts, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-    assert load_workload_csv(p) == w
-    assert len(parsed) == w._kinds.count("subset") + w._kinds.count("general")
+    writers = [save_workload_csv, lambda w, p: _repr_writer(w, p, spell_ranges=True)]
+    for write in writers:
+        write(w, p)
+        parsed.clear()
+        assert load_workload_csv(p) == w
+        assert len(parsed) == 1 + w._kinds.count("subset") + w._kinds.count("general")
+        assert parsed[0] == _template(16, 2, 9)
     ranges = range_workload(16, [0, 3, 15], [15, 9, 15])
-    save_workload_csv(ranges, p)
-    parsed.clear()
-    assert load_workload_csv(p) == ranges
-    assert parsed == []
+    for write in writers:
+        write(ranges, p)
+        parsed.clear()
+        assert load_workload_csv(p) == ranges
+        assert parsed == [_template(16, 0, 15)]
     # The same ranges spelled another way do take the parser.
-    p.write_text("kind,lo,hi,coeffs\nrange,1,2,0 1 1 0\n")
-    assert load_workload_csv(p) == range_workload(4, [1], [2])
-    assert parsed == ["0 1 1 0"]
+    p.write_text("kind,lo,hi,coeffs\nrange,1,2,0 1 1 0\nrange,0,1,1 1 0 0\n")
+    parsed.clear()
+    assert load_workload_csv(p) == range_workload(4, [1, 0], [2, 1])
+    assert parsed == ["0 1 1 0", "1 1 0 0"]
 
 
 def _row_by_row_load(path) -> Workload:
-    """The row-by-row reader the array reader replaced, with bad bounds reported at their row."""
+    """The row-by-row reader the array reader replaced, with bad bounds reported at their row.
+
+    A range row after the first with a blank coeffs field gets the
+    indicator of its bounds, which LinearQuery then checks.
+    """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r][1:]
     queries = []
@@ -806,15 +871,16 @@ def _row_by_row_load(path) -> Workload:
         if len(row) != 4:
             raise ValueError(f"{path}: row {i}: expected 4 columns, got {len(row)}")
         kind, lo_raw, hi_raw, coeff_raw = (c.strip() for c in row)
+        bounds_only = kind == "range" and d is not None and not coeff_raw
         try:
             coeffs = [float(c) for c in coeff_raw.split()]
         except ValueError:
             raise ValueError(f"{path}: row {i}: bad coefficient list") from None
-        if not coeffs:
+        if not coeffs and not bounds_only:
             raise ValueError(f"{path}: row {i}: empty coefficient list")
         if d is None:
             d = len(coeffs)
-        elif len(coeffs) != d:
+        elif len(coeffs) != d and not bounds_only:
             raise ValueError(f"{path}: row {i}: expected {d} coefficients, got {len(coeffs)}")
         try:
             lo = int(lo_raw) if lo_raw else None
@@ -823,6 +889,8 @@ def _row_by_row_load(path) -> Workload:
             raise ValueError(
                 f"{path}: row {i}: bad lo/hi {lo_raw!r}, {hi_raw!r}: expected integers"
             ) from None
+        if bounds_only:
+            coeffs = [float(None not in (lo, hi) and lo <= j <= hi) for j in range(d)]
         try:
             queries.append(LinearQuery(coeffs, kind=kind, lo=lo, hi=hi))
         except ValueError as exc:
@@ -839,9 +907,10 @@ def _template(d: int, lo: int, hi: int) -> str:
 def _csv_rows(draw):
     """Data rows over one d: mostly valid queries, some with a random fault.
 
-    Range rows come in the writer's spelling and in others ("1"/"0",
-    "1.00", padding); writer-spelled text also shows up with the wrong
-    bounds, at the wrong width and on subset and general rows.
+    Range rows come by their bounds alone, in the writer's old spelling
+    and in others ("1"/"0", "1.00", padding); old-spelled text also shows
+    up with the wrong bounds, at the wrong width and on subset and general
+    rows, and a blank coeffs field with bad bounds and on other kinds.
     """
     d = draw(st.integers(1, 6))
     tokens = st.sampled_from(["0", "1", "1.0", "0.0", "0.5", "-2", "1e0", "nan", "-inf", "x"])
@@ -870,6 +939,14 @@ def _csv_rows(draw):
         hi_text = draw(st.sampled_from([str(hi), str(hi), str(hi - 1), str(width), ""]))
         return [kind, lo_text, hi_text, _template(width, lo, hi)]
 
+    def bounds_row():
+        lo = draw(st.integers(0, d - 1))
+        hi = draw(st.integers(lo, d - 1))
+        kind = draw(st.sampled_from(["range", "range", "range", " range", "subset", "general"]))
+        lo_text = draw(st.sampled_from([str(lo), str(lo), f"+{lo}", "", "x", str(hi + 1)]))
+        hi_text = draw(st.sampled_from([str(hi), str(hi), f" {hi} ", "", str(d), "-1"]))
+        return [kind, lo_text, hi_text, draw(st.sampled_from(["", "", " "]))]
+
     def random_row():
         row = [
             draw(st.sampled_from(["range", "subset", "general", "cubic"])),
@@ -879,7 +956,7 @@ def _csv_rows(draw):
         ]
         return (row + ["extra"])[: draw(st.sampled_from([3, 4, 4, 4, 5]))]
 
-    makers = [valid_row, valid_row, template_row, random_row]
+    makers = [valid_row, valid_row, template_row, bounds_row, bounds_row, random_row]
     n = draw(st.integers(1, 6))
     return [draw(st.sampled_from(makers))() for _ in range(n)]
 
@@ -903,24 +980,30 @@ def test_array_reader_matches_the_row_by_row_reader(tmp_path_factory, rows):
     assert outcome(load_workload_csv) == outcome(_row_by_row_load)
 
 
-def _block_case_rows(d: int = 12, m: int = 40) -> list[str]:
-    """m writer-spelled range rows over d bins, each about 4d + 10 bytes long."""
+def _case_rows(d: int = 12, m: int = 40, bounds_only: bool = False) -> list[str]:
+    """m old-spelled range rows over d bins, each about 4d + 10 bytes long.
+
+    With bounds_only, every row after the first holds its bounds alone.
+    """
     w = random_range_workload(d, m, seed=6)
-    return [f"range,{lo},{hi},{_template(d, lo, hi)}" for lo, hi in zip(w._lo, w._hi)]
+    rows = [f"range,{lo},{hi},{_template(d, lo, hi)}" for lo, hi in zip(w._lo, w._hi)]
+    if bounds_only:
+        rows[1:] = [f"range,{lo},{hi}," for lo, hi in zip(w._lo[1:], w._hi[1:])]
+    return rows
 
 
-def _block_case(rows, end: str = "\r\n", last_end: str | None = None) -> bytes:
+def _case_file(rows, end: str = "\r\n", last_end: str | None = None) -> bytes:
     lines = ["kind,lo,hi,coeffs", *rows]
     return (end.join(lines) + (end if last_end is None else last_end)).encode("utf-8")
 
 
-def _block_cases() -> dict:
-    """name: (file bytes, whether the reader must hand the file to the text path)."""
-    rows = _block_case_rows()
+def _reader_cases() -> dict:
+    """name: the bytes of a workload file with an edge case in it."""
+    rows = _case_rows()
 
     def late(row):
-        """The rows with one more past the first few blocks of a few hundred bytes."""
-        return _block_case(rows[:30] + [row] + rows[30:])
+        """The rows with one more after the first 30."""
+        return _case_file(rows[:30] + [row] + rows[30:])
 
     def t(lo, hi, d=12):
         return _template(d, lo, hi)
@@ -941,55 +1024,50 @@ def _block_cases() -> dict:
         f"range, 3 ,7,{t(3, 7)}",
         f"range,03,7,{t(3, 7)}",
         f"range,3,7, {t(3, 7)}",
+        "range,+3,7,",
+        "range, 3 ,07, ",
         *rows[10:],
     ]
     return {
-        "crlf": (_block_case(rows), False),
-        "lf": (_block_case(rows, "\n"), False),
-        "bare-cr": (_block_case(rows, "\r"), True),
-        "unterminated-last-line": (_block_case(rows, "\r\n", ""), False),
-        "last-line-ends-in-cr": (_block_case(rows, "\r\n", "\r"), False),
-        "blank-lines": (_block_case(with_blanks(3, "\r\n")), False),
-        "blank-lf-lines": (_block_case(with_blanks(4, "\n"), "\n"), False),
-        "lines-longer-than-a-block": (_block_case(_block_case_rows(d=100, m=6)), False),
-        "late-quote": (late(f'"range",3,7,{t(3, 7)}'), True),
-        "late-non-ascii": (late(f"range,\xa03,7,{t(3, 7)}"), True),
-        "mixed-kinds-and-spellings": (_block_case(mixed), False),
-        "first-row-general": (_block_case([general, *rows]), False),
-        "wrong-bounds": (late(f"range,4,7,{t(3, 7)}"), False),
-        "wrong-width": (late(f"range,3,7,{t(3, 7, d=13)}"), False),
-        "first-row-wider": (_block_case([f"range,3,7,{t(3, 7, d=13)}", *rows]), False),
-        # Each of these would read as the template of its bounds with one byte check less.
-        "empty-lo": (late(f"range,,11,{t(0, 11)}"), False),
-        "empty-hi": (late(f"range,00,,{t(0, 0)}"), False),
-        "inverted-bounds": (late(f"range,7,3,{t(4, 6)}"), False),
-        "bounds-past-d": (late(f"range,3,12,{t(0, 2)}"), False),
-        "extra-comma": (late(f"range,3,,7,{t(3, 7)}"), False),
-        "no-comma-before-coefficients": (late(f"range,3,77{t(3, 7)}"), False),
-        "non-digit-bound": (late(f"range,:,11,{t(10, 11)}"), False),
-        "capitalised-kind": (late(f"Range,3,7,{t(3, 7)}"), False),
+        "crlf": _case_file(rows),
+        "lf": _case_file(rows, "\n"),
+        "bare-cr": _case_file(rows, "\r"),
+        "unterminated-last-line": _case_file(rows, "\r\n", ""),
+        "last-line-ends-in-cr": _case_file(rows, "\r\n", "\r"),
+        "blank-lines": _case_file(with_blanks(3, "\r\n")),
+        "blank-lf-lines": _case_file(with_blanks(4, "\n"), "\n"),
+        "lines-longer-than-a-block": _case_file(_case_rows(d=100, m=6)),
+        "late-quote": late(f'"range",3,7,{t(3, 7)}'),
+        "late-non-ascii": late(f"range,\xa03,7,{t(3, 7)}"),
+        "mixed-kinds-and-spellings": _case_file(mixed),
+        "first-row-general": _case_file([general, *rows]),
+        "wrong-bounds": late(f"range,4,7,{t(3, 7)}"),
+        "wrong-width": late(f"range,3,7,{t(3, 7, d=13)}"),
+        "first-row-wider": _case_file([f"range,3,7,{t(3, 7, d=13)}", *rows]),
+        # Each of these is near the old spelling of a range but not it, so it takes the parser.
+        "empty-lo": late(f"range,,11,{t(0, 11)}"),
+        "empty-hi": late(f"range,00,,{t(0, 0)}"),
+        "inverted-bounds": late(f"range,7,3,{t(4, 6)}"),
+        "bounds-past-d": late(f"range,3,12,{t(0, 2)}"),
+        "extra-comma": late(f"range,3,,7,{t(3, 7)}"),
+        "no-comma-before-coefficients": late(f"range,3,77{t(3, 7)}"),
+        "non-digit-bound": late(f"range,:,11,{t(10, 11)}"),
+        "capitalised-kind": late(f"Range,3,7,{t(3, 7)}"),
+        "bounds-only": _case_file(_case_rows(bounds_only=True)),
+        "bounds-only-bare-cr": _case_file(_case_rows(bounds_only=True), "\r"),
+        "bounds-only-quoted": _case_file(
+            [f'"{r}"'.replace(",", '","') for r in _case_rows(bounds_only=True)]
+        ),
     }
 
 
-_BLOCK_CASES = _block_cases()
+_READER_CASES = _reader_cases()
 
 
-@pytest.mark.parametrize("block_bytes", [97, 256])
-@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
-def test_block_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, name, block_bytes):
-    """Across block boundaries the block reader gives the row-by-row reader's outcome.
-
-    A file that is not plain is handed to the text path, and only such a file.
-    """
-    data, text_path = _BLOCK_CASES[name]
+@pytest.mark.parametrize("name", sorted(_READER_CASES))
+def test_reader_matches_the_row_by_row_reader(tmp_path, name):
     p = tmp_path / "w.csv"
-    p.write_bytes(data)
-    monkeypatch.setattr(mldp.histogram, "_BLOCK_BYTES", block_bytes)
-    text_reads = []
-    text_rows = mldp.workload._text_rows
-    monkeypatch.setattr(
-        mldp.workload, "_text_rows", lambda path: text_reads.append(path) or text_rows(path)
-    )
+    p.write_bytes(_READER_CASES[name])
 
     def outcome(load):
         try:
@@ -999,20 +1077,14 @@ def test_block_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, name,
         return w.matrix.tobytes(), w._kinds, w._lo, w._hi
 
     assert outcome(load_workload_csv) == outcome(_row_by_row_load)
-    assert bool(text_reads) == text_path
 
 
-@pytest.mark.parametrize("block_bytes", [97, 256, 1 << 20])
-def test_an_earlier_bad_row_wins_over_a_nul_after_it(tmp_path, monkeypatch, block_bytes):
-    """Reported as the row-by-row reader reports the file cut before the NUL.
-
-    At 1 MiB the bad row and the NUL are in one block.
-    """
-    monkeypatch.setattr(mldp.histogram, "_BLOCK_BYTES", block_bytes)
-    rows = _block_case_rows()
+def test_an_earlier_bad_row_wins_over_a_nul_after_it(tmp_path):
+    """Reported as the row-by-row reader reports the file cut before the NUL."""
+    rows = _case_rows()
     p, before_nul = tmp_path / "w.csv", tmp_path / "before.csv"
-    p.write_bytes(_block_case(rows[:30] + ["range,9,2,1.0", "x\0"] + rows[30:]))
-    before_nul.write_bytes(_block_case(rows[:30] + ["range,9,2,1.0"]))
+    p.write_bytes(_case_file(rows[:30] + ["range,9,2,1.0", "x\0"] + rows[30:]))
+    before_nul.write_bytes(_case_file(rows[:30] + ["range,9,2,1.0"]))
     with pytest.raises(ValueError) as info:
         load_workload_csv(p)
     with pytest.raises(ValueError) as expected:
@@ -1020,21 +1092,21 @@ def test_an_earlier_bad_row_wins_over_a_nul_after_it(tmp_path, monkeypatch, bloc
     assert str(info.value) == str(expected.value).replace(str(before_nul), str(p))
     assert str(info.value) == f"{p}: row 31: expected 12 coefficients, got 1"
     # With no bad row before it, the NUL is reported by its line.
-    p.write_bytes(_block_case(rows[:30] + ["x\0"] + rows[30:]))
+    p.write_bytes(_case_file(rows[:30] + ["x\0"] + rows[30:]))
     with pytest.raises(ValueError) as info:
         load_workload_csv(p)
     assert str(info.value) == f"{p}: line 32: line contains NUL"
 
 
-def test_loading_holds_a_few_blocks_then_the_matrix_and_its_indicator(tmp_path):
-    """Reading a 10 000-range file over 256 bins holds a few blocks of about
-    1 MiB, never the whole file; the peak of the load is the float matrix,
-    the boolean indicator it is built from, and at most 2 MiB more."""
+def test_loading_an_old_file_holds_a_row_at_a_time_then_the_matrix_and_its_indicator(tmp_path):
+    """Reading a 10 000-range file over 256 bins, every coefficient spelled,
+    holds a few MiB, never the whole file; the peak of the load is the float
+    matrix, the boolean indicator it is built from, and at most 2 MiB more."""
     w = random_range_workload(256, 10_000, seed=3)
     p = tmp_path / "w.csv"
-    save_workload_csv(w, p)
+    _repr_writer(w, p, spell_ranges=True)
     peaks = {}
-    for name, read in [("rows", mldp.workload._plain_rows), ("load", load_workload_csv)]:
+    for name, read in [("rows", mldp.workload._text_rows), ("load", load_workload_csv)]:
         tracemalloc.start()
         try:
             result = read(p)
