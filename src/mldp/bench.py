@@ -25,7 +25,7 @@ from .learning import (
 from .mechanisms import (
     PrivacyBudget, _mwem_runs, laplace_batch, mwem_publish, strategy_mechanism
 )
-from .pipeline import MldpConfig, mldp_publish, training_workload_for
+from .pipeline import MldpConfig, _training_bounds, mldp_publish
 from .seeds import derive_seed
 from .workload import Workload, _range_indicators, evaluate_workload, random_range_workload
 
@@ -274,15 +274,15 @@ def _run_mwem_queue(queue: list, hist: Histogram, rounds: int) -> None:
     queue.clear()
 
 
-def _overlap_count(training: Workload, test: Workload) -> int:
-    """How many test queries also appear in the training workload.
+def _overlap_count(lo, hi, test: Workload) -> int:
+    """How many test queries also appear in the training ranges [lo[i], hi[i]].
 
     Both are range workloads: the test workload comes from
     ``random_range_workload`` and a sweep's training workload from the
     ranges pool.  So a query is its ``(lo, hi)`` pair and no rows are
     compared.
     """
-    keys = set(zip(training._lo, training._hi))
+    keys = set(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
     return sum(key in keys for key in zip(test._lo, test._hi))
 
 
@@ -393,7 +393,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
                 if mech == "mldp":
                     seed, mc, model = draw("mldp", "mldp", i, lambda s: publish(at, s))
                     error = mae(predict(model, test), truth)
-                    overlap = _overlap_count(training_workload_for(hist.d, mc), test)
+                    overlap = _overlap_count(*_training_bounds(hist.d, mc), test)
                     trials[mech, i].append((seed, error, overlap))
                 else:
                     seed, error = draw(

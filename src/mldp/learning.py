@@ -29,6 +29,7 @@ from .workload import (
     _POOL_KINDS,
     Workload,
     _integer,
+    _range_pool_bounds,
     pool_queries,
     pool_size,
     range_workload,
@@ -61,7 +62,8 @@ DEFAULT_RBF_RIDGE = 1e-3
 # at one BLAS thread; see predict.
 _PREDICT_BLOCK = 512
 
-# Range rows whose integer distances _kernel_blocks works out at a time.
+# Range rows whose integer distances _kernel_blocks and
+# median_pairwise_distance work out at a time.
 _KERNEL_CHUNK = 64
 
 
@@ -215,13 +217,27 @@ def select_training_set(
     if pool not in _POOL_KINDS:
         raise ValueError(f"unknown pool {pool!r}; expected one of {_POOL_KINDS}")
     d = _integer(d, "d")
+    if strategy == "random_m" and pool == "subsets":
+        return pool_queries(d, _random_positions(d, m, seed, pool), pool)
+    return range_workload(d, *_selection_bounds(d, strategy, m, seed))
+
+
+def _selection_bounds(d: int, strategy: str, m, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of select_training_set(d, strategy, m, seed) over the ranges pool.
+
+    The same seeding and pool positions, with no matrix built.
+    """
     if strategy != "random_m":
-        return range_workload(d, np.arange(d), np.arange(d))
+        return np.arange(d), np.arange(d)
+    return _range_pool_bounds(d, _random_positions(d, m, seed, "ranges"))
+
+
+def _random_positions(d: int, m, seed, pool: str) -> np.ndarray:
+    """random_m's m pool positions, drawn uniformly with replacement from the seed."""
     if m is None or _integer(m, "m") < 1:
         raise ValueError("random_m needs m >= 1")
     rng = np.random.default_rng(_seed(seed))
-    picks = rng.integers(0, pool_size(d, pool), size=int(m))
-    return pool_queries(d, picks, pool)
+    return rng.integers(0, pool_size(d, pool), size=int(m))
 
 
 def _release_meta(training: NoisyAnswerSet, with_mu: bool = False) -> ModelMeta:
@@ -254,7 +270,11 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     With ridge > 0, a workload whose range bounds are the d single bins
     in bin order, or the dyadic tree of :func:`_dyadic_bounds`, is
     solved in closed form with no matrix formed (see
-    :func:`_strategy_estimate`); any other workload forms F^T F.
+    :func:`_strategy_estimate`).  Any other workload of range rows only
+    (random_m over the ranges pool, for one) counts F^T F from its
+    bounds (see :func:`_range_gram`), the bits of the dense product, in
+    O(m + d^2); a workload with a subset or general row forms F^T F by
+    the dense O(m d^2) product.
     """
     _check_fit_options("linear", ridge, None, "fit_linear")
     ridge = float(ridge)
@@ -266,10 +286,41 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     else:
         v = _strategy_estimate(training.workload, targets, ridge)
         if v is None:
-            gram = features.T @ features + ridge * np.eye(training.workload.d)
+            workload = training.workload
+            if _all_ranges(workload):
+                gram = _range_gram(workload.d, workload._lo, workload._hi)
+            else:
+                gram = features.T @ features
+            gram = gram + ridge * np.eye(workload.d)
             v = np.linalg.solve(gram, features.T @ targets)
     weights = np.concatenate(([0.0], v))
     return PublishedModel(kind="linear", d=training.workload.d, weights=weights, meta=meta)
+
+
+def _all_ranges(workload: Workload) -> bool:
+    """Whether every row of the workload is a range, known by its bounds."""
+    return workload._kinds.count("range") == workload.m
+
+
+def _range_gram(d: int, lo, hi) -> np.ndarray:
+    """F^T F of the range rows [lo[i], hi[i]] over d bins, from their bounds.
+
+    Entry (j, k) counts the rows that cover both bins j and k.  Each
+    row adds +1 at (lo, lo) and (hi + 1, hi + 1) and -1 at (lo, hi + 1)
+    and (hi + 1, lo) of a (d + 1) x (d + 1) difference array, one
+    np.bincount for all rows, whose prefix sums along both axes are the
+    counts.  Every partial sum is an integer below 2^53, so the result
+    has the bits of ``F.T @ F`` at any BLAS thread count.
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    past = np.asarray(hi, dtype=np.intp) + 1
+    n = d + 1
+    corners = np.concatenate((lo * n + lo, past * n + past, lo * n + past, past * n + lo))
+    signs = np.repeat([1.0, 1.0, -1.0, -1.0], lo.size)
+    counts = np.bincount(corners, weights=signs, minlength=n * n).reshape(n, n)
+    np.cumsum(counts, axis=0, out=counts)
+    np.cumsum(counts, axis=1, out=counts)
+    return counts[:d, :d]
 
 
 def _dyadic_bounds(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,9 +412,7 @@ def _kernel_blocks(workload: Workload, centers: np.ndarray, width_u: float, span
     drawn; memory is two (d + 1) x centers int32 tables plus the largest
     block.  Any other rows or centers take rbf_kernel.
     """
-    if workload._kinds.count("range") < workload.m or not (
-        (centers == 0.0) | (centers == 1.0)
-    ).all():
+    if not _all_ranges(workload) or not ((centers == 0.0) | (centers == 1.0)).all():
         for a, b in spans:
             yield rbf_kernel(workload.matrix[a:b], centers, width_u)
         return
@@ -396,15 +445,27 @@ def _kernel_blocks(workload: Workload, centers: np.ndarray, width_u: float, span
         yield buffer[: b - a]
 
 
-def median_pairwise_distance(features: np.ndarray) -> float:
+def median_pairwise_distance(features: np.ndarray | Workload) -> float:
     """Median Euclidean distance between distinct feature rows.
 
-    The usual bandwidth heuristic for the rbf width.  Falls back to 1.0
-    when every pairwise distance is zero (all rows identical or a single
-    row).  Needs O(m^2) memory for m rows; the squared distances (the
-    Gram trick of :func:`rbf_kernel`) are exact for integer-valued rows
-    such as pool queries.
+    The usual bandwidth heuristic for the rbf width.  features is a
+    matrix, or a workload whose rows are the features.  Falls back to
+    1.0 when every pairwise distance is zero (all rows identical or a
+    single row).  A matrix needs O(m^2) memory for m rows; the squared
+    distances (the Gram trick of :func:`rbf_kernel`) are exact for
+    integer-valued rows such as pool queries.
+
+    A workload of range rows only is read from its bounds: the squared
+    distance of ranges A and B is the integer |A| + |B| - 2 |A n B| in
+    [0, d], and the median comes from an np.bincount of them with the
+    arithmetic of np.median on the dense path, the square root of the
+    middle value or the mean of the two middle square roots, so the
+    result has the same bits.  Memory is _KERNEL_CHUNK x m integers.
     """
+    if isinstance(features, Workload):
+        if _all_ranges(features):
+            return _range_median_distance(features)
+        features = features.matrix
     n = len(features)
     if n < 2:
         return 1.0
@@ -413,6 +474,35 @@ def median_pairwise_distance(features: np.ndarray) -> float:
     if positive.size == 0:
         return 1.0
     return float(np.median(positive))
+
+
+def _range_median_distance(workload: Workload) -> float:
+    """median_pairwise_distance of a workload of range rows, from their bounds."""
+    lo = np.asarray(workload._lo, dtype=np.int64)
+    hi = np.asarray(workload._hi, dtype=np.int64)
+    size = hi - lo + 1
+    m = workload.m
+    counts = np.zeros(workload.d + 1, dtype=np.int64)
+    # Rows s..e-1 against rows s.. on; the pairs with j <= i are zeroed,
+    # so each pair of distinct rows is counted once.
+    for s in range(0, m, _KERNEL_CHUNK):
+        e = min(s + _KERNEL_CHUNK, m)
+        shared = np.minimum(hi[s:e, None], hi[None, s:])
+        shared -= np.maximum(lo[s:e, None], lo[None, s:])
+        shared += 1
+        np.maximum(shared, 0, out=shared)
+        squared = size[s:e, None] + size[None, s:]
+        squared -= 2 * shared
+        squared[:, : e - s][np.tril_indices(e - s)] = 0
+        counts += np.bincount(squared.ravel(), minlength=workload.d + 1)
+    counts[0] = 0
+    n = int(counts.sum())
+    if n == 0:
+        return 1.0
+    # The sorted values at positions (n - 1) // 2 and n // 2.
+    middle = np.searchsorted(np.cumsum(counts), [(n - 1) // 2, n // 2], side="right")
+    roots = np.sqrt(middle.astype(float))
+    return float(roots[0]) if n % 2 else float((roots[0] + roots[1]) / 2)
 
 
 def fit_rbf(
@@ -433,7 +523,7 @@ def fit_rbf(
     meta = _release_meta(training, with_mu=True)
     features = training.workload.matrix
     if width_u is None:
-        width_u = median_pairwise_distance(features)
+        width_u = median_pairwise_distance(training.workload)
     width_u = float(width_u)
     (kernel,) = _kernel_blocks(training.workload, features, width_u, [(0, training.workload.m)])
     # In place, the bits of kernel + ridge * I with no m x m temporaries.

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .histogram import Histogram
 from .learning import (
     DEFAULT_LINEAR_RIDGE,
@@ -22,6 +24,7 @@ from .learning import (
     _check_fit_options,
     _check_int,
     _check_real,
+    _selection_bounds,
     fit_linear,
     fit_rbf,
     select_training_set,
@@ -105,14 +108,23 @@ class MldpConfig:
 
 
 def training_workload_for(hist_d: int, config: MldpConfig) -> Workload:
-    """The training workload a publish run with this config will buy.
-
-    The benchmark sweep calls it again to count training/test query
-    overlap with the same selection seeding.
-    """
+    """The training workload a publish run with this config will buy."""
     return select_training_set(
         hist_d, config.selection, config.m, derive_seed(config.seed, "select"), config.pool
     )
+
+
+def _training_bounds(hist_d: int, config: MldpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of training_workload_for(hist_d, config), with no matrix built.
+
+    The same seed and pool positions; the benchmark sweep counts
+    training/test query overlap on them.  Only the ranges pool has
+    bounds.
+    """
+    if config.pool != "ranges":
+        raise ValueError(f"the {config.pool!r} pool has no range bounds")
+    seed = derive_seed(config.seed, "select")
+    return _selection_bounds(hist_d, config.selection, config.m, seed)
 
 
 def mldp_publish(hist: Histogram, config: MldpConfig, budget: PrivacyBudget) -> PublishedModel:

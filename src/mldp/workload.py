@@ -10,7 +10,6 @@ perturbs the full answer vector by exactly one (signed) column.
 from __future__ import annotations
 
 import contextlib
-import math
 from pathlib import Path
 
 import numpy as np
@@ -303,10 +302,8 @@ def pool_size(d: int, pool: str) -> int:
 def pool_queries(d: int, positions, pool: str) -> Workload:
     """The queries at the given positions of a built-in pool, in that order.
 
-    ranges: the d(d+1)/2 contiguous ranges, longest first, then by lo.
-    Position k lies in length group j = (isqrt(8k + 1) - 1) // 2, whose
-    d - j ranges start at position j(j+1)/2, so lo = k - j(j+1)/2 and
-    hi = lo + d - j - 1.
+    ranges: the d(d+1)/2 contiguous ranges, longest first, then by lo;
+    see :func:`_range_pool_bounds`.
 
     subsets: the 2^d - 1 non-empty 0/1 subset-sum queries; position k
     is the subset with binary mask k + 1 (mask bit i selects bin i), so
@@ -317,11 +314,28 @@ def pool_queries(d: int, positions, pool: str) -> Workload:
     if k.size and (k.min() < 0 or k.max() >= size):
         raise ValueError(f"pool positions must lie in [0, {size})")
     if pool == "ranges":
-        j = (np.array([math.isqrt(8 * x + 1) for x in k.tolist()], dtype=np.int64) - 1) // 2
-        lo = k - j * (j + 1) // 2
-        return range_workload(d, lo, lo + d - j - 1)
+        return range_workload(d, *_range_pool_bounds(d, k))
     matrix = (((k[:, None] + 1) >> np.arange(d)) & 1).astype(float)
     return Workload._of(matrix, ("subset",) * k.size, (None,) * k.size, (None,) * k.size)
+
+
+def _range_pool_bounds(d: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the ranges pool's queries at the int64 positions k.
+
+    Position k lies in length group j = (isqrt(8k + 1) - 1) // 2, whose
+    d - j ranges start at position j(j+1)/2, so lo = k - j(j+1)/2 and
+    hi = lo + d - j - 1.  The float square root is within one of
+    isqrt(8k + 1), and one integer step each way makes it exact for
+    every k below 2^59, where no product overflows int64: every position
+    of a pool over fewer than 10^9 bins.
+    """
+    x = 8 * k + 1
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    j = (r - 1) // 2
+    lo = k - j * (j + 1) // 2
+    return lo, lo + d - j - 1
 
 
 def all_range_queries(d: int) -> Workload:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mldp import MldpConfig, PrivacyBudget, mldp_publish
-from mldp import bench
+from mldp import bench, pipeline
 from mldp.bench import (
     DatasetSpec,
     ExperimentConfig,
@@ -502,7 +502,27 @@ def test_overlap_count_matches_row_bytes(selection, pool):
             training = select_training_set(d, selection, 3 * d + 1, seed, pool)
             test = random_range_workload(d, 40, seed + 100)
             want = _overlap_by_row_bytes(training, test)
-            assert _overlap_count(training, test) == want, (d, seed)
+            assert _overlap_count(training._lo, training._hi, test) == want, (d, seed)
+
+
+@pytest.mark.parametrize(
+    "sweep_variable, grid", [("training_m", (3, 40)), ("epsilon", (0.5, 1.0))]
+)
+def test_a_sweep_selects_once_per_publish(monkeypatch, sweep_variable, grid):
+    """The overlap count reads the selection's bounds; it builds no second training workload."""
+    selections, publishes = [], []
+    select, publish = pipeline.select_training_set, bench.mldp_publish
+    monkeypatch.setattr(
+        pipeline, "select_training_set", lambda *a: selections.append(1) or select(*a)
+    )
+    monkeypatch.setattr(bench, "mldp_publish", lambda *a: publishes.append(1) or publish(*a))
+    config = small_config(
+        mechanisms=("mldp",), sweep_variable=sweep_variable, grid=grid, selection="random_m",
+        trials=3,
+    )
+    report = run_sweep(config)
+    assert len(publishes) == len(selections) == 6
+    assert all(row["train_test_overlap"] is not None for row in report["rows"])
 
 
 def _mwem_maes_one_by_one(config) -> list:

@@ -21,6 +21,7 @@ from mldp.learning import (
     ModelMeta,
     PublishedModel,
     _dyadic_bounds,
+    _range_gram,
     fit_linear,
     fit_rbf,
     load_model,
@@ -30,6 +31,7 @@ from mldp.learning import (
     select_training_set,
 )
 from mldp.mechanisms import NoisyAnswerSet, laplace_batch
+from mldp.seeds import derive_seed
 from mldp.workload import LinearQuery, Workload, range_query, range_workload
 
 TABLE_WEIGHTS = np.array([12.0, 24.0, 6.0, 7.0])
@@ -322,6 +324,78 @@ class TestFitLinear:
         np.testing.assert_array_equal(weights[1:], dense)
 
 
+def _range_gram_cases():
+    """(d, lo, hi) cases: m from 1 to 4d, duplicates, the full range, bins no row covers."""
+    for d in (1, 2, 7, 64, 512):
+        for m in sorted({1, 2, d // 2 + 1, d, 4 * d}):
+            rng = np.random.default_rng(d * 10_000 + m)
+            a, b = rng.integers(0, d, m), rng.integers(0, d, m)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            yield pytest.param(d, lo, hi, id=f"d={d}-m={m}")
+        yield pytest.param(d, np.array([0, 0, 0]), np.array([d - 1] * 3), id=f"d={d}-full-x3")
+        # Rows on the lower half only, each twice: the upper bins are covered by none.
+        lo = np.arange(d // 2).repeat(2)
+        yield pytest.param(d, lo, lo + (d // 2 - 1 - lo) // 2, id=f"d={d}-lower-half-twice")
+
+
+@pytest.mark.parametrize("d, lo, hi", _range_gram_cases())
+def test_range_gram_has_the_bytes_of_the_dense_product(d, lo, hi):
+    features = range_workload(d, lo, hi).matrix
+    gram = _range_gram(d, tuple(lo.tolist()), tuple(hi.tolist()))
+    assert gram.shape == (d, d)
+    assert gram.tobytes() == (features.T @ features).tobytes()
+
+
+def _spy_on_range_gram(monkeypatch) -> list:
+    calls = []
+    gram = learning._range_gram
+    monkeypatch.setattr(learning, "_range_gram", lambda *a: calls.append(a[0]) or gram(*a))
+    return calls
+
+
+@pytest.mark.parametrize("rows", ["ranges", "ranges-and-a-subset", "ranges-and-a-general-row"])
+def test_only_range_releases_count_their_gram(monkeypatch, rows):
+    """A release holding a subset or general row forms F^T F by the dense product."""
+    d = 8
+    queries = list(select_training_set(d, "random_m", 20, 4))
+    if rows == "ranges-and-a-subset":
+        queries.append(LinearQuery([1.0, 0.0, 1.0, 0, 0, 0, 0, 1.0], kind="subset"))
+    elif rows == "ranges-and-a-general-row":
+        queries.append(LinearQuery([0.5, -2.0, 0, 0, 0, 0, 0, 3.0]))
+    workload = Workload(d, queries)
+    release = laplace_batch(
+        workload, generate_simulated_histogram(d, 1000, 3), PrivacyBudget(1.0), 1.0, 5
+    )
+    features = workload.matrix
+    gram = features.T @ features + DEFAULT_LINEAR_RIDGE * np.eye(d)
+    dense = np.linalg.solve(gram, features.T @ release.answers)
+    calls = _spy_on_range_gram(monkeypatch)
+    weights = fit_linear(release).weights
+    assert calls == ([d] if rows == "ranges" else [])
+    assert weights[1:].tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("d, m", [(64, 5), (64, 40), (512, 128), (512, 2048)])
+def test_random_m_range_fit_has_the_bytes_of_a_dense_fit(tmp_path, monkeypatch, d, m):
+    """Rank-deficient (m < d) and full-rank random_m releases give the dense fit's model."""
+    workload = select_training_set(d, "random_m", m, 9)
+    release = laplace_batch(
+        workload, generate_simulated_histogram(d, 1000, 7), PrivacyBudget(1.0), 1.0, 13
+    )
+    calls = _spy_on_range_gram(monkeypatch)
+    model = fit_linear(release)
+    assert calls == [d]
+    features = workload.matrix
+    gram = features.T @ features + DEFAULT_LINEAR_RIDGE * np.eye(d)
+    dense = np.linalg.solve(gram, features.T @ release.answers)
+    reference = PublishedModel(
+        kind="linear", d=d, weights=np.concatenate(([0.0], dense)), meta=model.meta
+    )
+    save_model(model, tmp_path / "model.json")
+    save_model(reference, tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
 class TestKernel:
     def test_kernel_matches_direct_formula(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -377,6 +451,49 @@ class TestKernel:
     def test_median_pairwise_distance_fallbacks(self):
         assert median_pairwise_distance(np.array([[1.0, 2.0]])) == 1.0
         assert median_pairwise_distance(np.ones((4, 3))) == 1.0
+        assert median_pairwise_distance(range_workload(5, [2], [3])) == 1.0
+        assert median_pairwise_distance(range_workload(5, [2, 2, 2], [3, 3, 3])) == 1.0
+
+    def test_median_pairwise_distance_of_ranges_hand_case(self):
+        # Squared distances of [0,0], [0,1], [2,3]: 1, 3, 4.  [3,3] adds 2, 3, 1,
+        # so the sorted squares are 1 1 2 3 3 4.
+        w = range_workload(4, [0, 0, 2], [0, 1, 3])
+        assert median_pairwise_distance(w) == math.sqrt(3)
+        w = range_workload(4, [0, 0, 2, 3], [0, 1, 3, 3])
+        assert median_pairwise_distance(w) == (math.sqrt(2) + math.sqrt(3)) / 2
+
+
+def _median_cases():
+    """Range workloads: the rbf golden releases, random_m draws and random bounds."""
+    for name in json.loads(
+        (Path(__file__).parent / "data" / "golden_rbf_model_sha256.json").read_text()
+    ):
+        pool, d, m = name.split("/")
+        d, m = int(d[2:]), int(m[2:])
+        # mldp_publish's selection seed for the golden configs (seed 11).
+        yield pytest.param(pool, d, m, derive_seed(11, "select"), id=f"golden-{name}")
+    rng = np.random.default_rng(2024)
+    for t in range(60):
+        d, m = int(rng.integers(1, 600)), int(rng.integers(1, 400))
+        yield pytest.param("ranges" if t % 2 else "short", d, m, t, id=f"d={d}-m={m}-{t}")
+
+
+@pytest.mark.parametrize("source, d, m, seed", _median_cases())
+def test_median_distance_of_range_rows_has_the_bits_of_the_dense_median(source, d, m, seed):
+    """The bound-read median equals the dense path's on the workload's matrix, bit for bit."""
+    if source == "short":
+        # Short ranges, so many pairs share a distance and an even count
+        # of distinct pairs often falls between two values.
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, d, m)
+        workload = range_workload(d, lo, np.minimum(d - 1, lo + rng.integers(0, 4, m)))
+    else:
+        workload = select_training_set(d, "random_m", m, seed, pool=source)
+    width = median_pairwise_distance(workload)
+    assert type(width) is float
+    assert np.float64(width).tobytes() == np.float64(
+        median_pairwise_distance(workload.matrix)
+    ).tobytes()
 
 
 KERNEL_WIDTHS = (1e-3, 1.0, 10.0, 1e3)

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from mldp import MldpConfig, PrivacyBudget, mldp_publish, predict
+from mldp import pipeline
 from mldp.histogram import generate_simulated_histogram
 from mldp.learning import DEFAULT_RBF_RIDGE, fit_linear, rbf_kernel, save_model
 from mldp.mechanisms import InsufficientBudgetError, laplace_batch
 from mldp.pipeline import (
     BoundParameters,
+    _training_bounds,
     model_error_bound,
     noise_error_bound,
     total_error_bound,
@@ -229,6 +231,30 @@ class TestPublish:
             kernel = rbf_kernel(rows, rows, model.width_u)
             want = np.linalg.solve(kernel + DEFAULT_RBF_RIDGE * np.eye(m), noisy.answers)
             np.testing.assert_allclose(model.weights, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "selection, m",
+        [("singleton", None), ("greedy_cover", None), ("random_m", 1), ("random_m", 300)],
+    )
+    def test_training_bounds_are_the_published_release_bounds(self, monkeypatch, selection, m):
+        """The bounds the sweep counts overlap on are those of the release mldp_publish buys."""
+        released = []
+        buy = pipeline.laplace_batch
+        monkeypatch.setattr(
+            pipeline, "laplace_batch", lambda w, *a: released.append(w) or buy(w, *a)
+        )
+        d = 37
+        for seed in range(5):
+            config = MldpConfig(epsilon=1.0, selection=selection, m=m, seed=seed)
+            mldp_publish(generate_simulated_histogram(d, 100, seed=1), config, PrivacyBudget(1.0))
+            lo, hi = _training_bounds(d, config)
+            assert lo.tolist() == list(released[-1]._lo)
+            assert hi.tolist() == list(released[-1]._hi)
+
+    def test_training_bounds_refuse_the_subsets_pool(self):
+        config = MldpConfig(epsilon=1.0, selection="random_m", m=3, pool="subsets")
+        with pytest.raises(ValueError, match="no range bounds"):
+            _training_bounds(4, config)
 
     def test_random_m_uses_the_requested_pool(self, hist4):
         config = MldpConfig(epsilon=1.0, selection="random_m", m=6, pool="subsets", seed=0)

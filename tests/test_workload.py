@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -332,6 +333,28 @@ class TestGenerators:
         np.testing.assert_array_equal(pool.matrix, masks)
         for k in range(pool.m):
             assert pool_queries(d, [k], "subsets")[0] == pool[k]
+
+    def test_range_pool_groups_are_exact_up_to_two_to_the_59(self):
+        """The vectorized length groups equal isqrt's at every group edge tried.
+
+        The edges j(j + 1)/2 and one either side, and the positions
+        where 8k + 1 is a perfect square or one either side, are where
+        a float square root would round across an integer.
+        """
+        rng = np.random.default_rng(5)
+        j = np.concatenate((np.arange(1, 2000), rng.integers(1, 2**30, 20_000)))
+        edges = j * (j + 1) // 2
+        r = rng.integers(1, 2**31, 20_000)
+        squares = (r * r - 1) // 8
+        k = np.concatenate((edges - 1, edges, edges + 1, squares - 1, squares, squares + 1))
+        k = np.concatenate((k, rng.integers(0, 2**59, 20_000), [0, 2**59 - 1]))
+        k = k[(k >= 0) & (k < 2**59)]
+        d = 10**9
+        lo, hi = mldp.workload._range_pool_bounds(d, k)
+        group = np.array([(math.isqrt(8 * x + 1) - 1) // 2 for x in k.tolist()])
+        want_lo = k - group * (group + 1) // 2
+        np.testing.assert_array_equal(lo, want_lo)
+        np.testing.assert_array_equal(hi, want_lo + d - group - 1)
 
     def test_pool_map_rejects_bad_positions_and_pools(self):
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
