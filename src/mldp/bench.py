@@ -279,11 +279,13 @@ def _overlap_count(lo, hi, test: Workload) -> int:
 
     Both are range workloads: the test workload comes from
     ``random_range_workload`` and a sweep's training workload from the
-    ranges pool.  So a query is its ``(lo, hi)`` pair and no rows are
-    compared.
+    ranges pool.  So a query is its integer key ``lo * (d + 1) + hi``
+    and no rows are compared.
     """
-    keys = set(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
-    return sum(key in keys for key in zip(test._lo, test._hi))
+    n = test.d + 1
+    keys = np.asarray(lo, dtype=np.int64) * n + np.asarray(hi, dtype=np.int64)
+    tested = np.array(test._lo, dtype=np.int64) * n + np.array(test._hi, dtype=np.int64)
+    return int(np.isin(tested, keys).sum())
 
 
 # Which swept variables each per-trial object reads: SEED_RULE as data.
@@ -343,6 +345,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
 
     def test_workload(at, seed):
         test = random_range_workload(hist.d, at["test_m"], seed)
+        test.matrix  # built once: every grid point's model and both strategies answer it
         truth = evaluate_workload(test, hist)
         lo, hi = np.array(test._lo, dtype=np.int32), np.array(test._hi, dtype=np.int32)
         return test, truth, (lambda: _range_indicators(hist.d, lo, hi).astype(float), truth)

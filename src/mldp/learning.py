@@ -57,9 +57,9 @@ MODEL_KINDS = ("linear", "rbf")
 DEFAULT_LINEAR_RIDGE = 1e-6
 DEFAULT_RBF_RIDGE = 1e-3
 
-# Rows of the rbf kernel that predict evaluates at a time.  A multiple
-# of 64 rows keeps each answer bitwise equal to the whole-kernel product
-# at one BLAS thread; see predict.
+# Rows that predict and strategy answering read at a time.  A multiple
+# of 64 rows keeps each answer bitwise equal to the whole product at one
+# BLAS thread; see _row_spans.
 _PREDICT_BLOCK = 512
 
 # Range rows whose integer distances _kernel_blocks and
@@ -274,32 +274,31 @@ def fit_linear(training: NoisyAnswerSet, ridge: float = DEFAULT_LINEAR_RIDGE) ->
     (random_m over the ranges pool, for one) counts F^T F from its
     bounds (see :func:`_range_gram`), the bits of the dense product, in
     O(m + d^2); a workload with a subset or general row forms F^T F by
-    the dense O(m d^2) product.
+    the dense O(m d^2) product.  The matrix F itself is read only by the
+    ridge = 0 least-squares solve and by F^T y, so the closed forms
+    build none.
     """
     _check_fit_options("linear", ridge, None, "fit_linear")
     ridge = float(ridge)
     meta = _release_meta(training)
-    features = training.workload.matrix
-    targets = training.answers
+    workload, targets = training.workload, training.answers
     if ridge == 0:
-        v, *_ = np.linalg.lstsq(features, targets, rcond=None)
+        v, *_ = np.linalg.lstsq(workload.matrix, targets, rcond=None)
     else:
-        v = _strategy_estimate(training.workload, targets, ridge)
+        v = _strategy_estimate(workload, targets, ridge)
         if v is None:
-            workload = training.workload
-            if _all_ranges(workload):
+            features = workload.matrix
+            if workload._all_ranges():
                 gram = _range_gram(workload.d, workload._lo, workload._hi)
             else:
                 gram = features.T @ features
-            gram = gram + ridge * np.eye(workload.d)
+            # In place, the bits of gram + ridge * I: no entry is -0.0
+            # (counts, or BLAS sums that start from 0.0), so adding 0.0
+            # off the diagonal would leave each as it is.
+            gram[np.diag_indices(workload.d)] += ridge
             v = np.linalg.solve(gram, features.T @ targets)
     weights = np.concatenate(([0.0], v))
-    return PublishedModel(kind="linear", d=training.workload.d, weights=weights, meta=meta)
-
-
-def _all_ranges(workload: Workload) -> bool:
-    """Whether every row of the workload is a range, known by its bounds."""
-    return workload._kinds.count("range") == workload.m
+    return PublishedModel(kind="linear", d=workload.d, weights=weights, meta=meta)
 
 
 def _range_gram(d: int, lo, hi) -> np.ndarray:
@@ -412,9 +411,9 @@ def _kernel_blocks(workload: Workload, centers: np.ndarray, width_u: float, span
     drawn; memory is two (d + 1) x centers int32 tables plus the largest
     block.  Any other rows or centers take rbf_kernel.
     """
-    if not _all_ranges(workload) or not ((centers == 0.0) | (centers == 1.0)).all():
+    if not workload._all_ranges() or not ((centers == 0.0) | (centers == 1.0)).all():
         for a, b in spans:
-            yield rbf_kernel(workload.matrix[a:b], centers, width_u)
+            yield rbf_kernel(workload._rows(a, b), centers, width_u)
         return
     d, n = workload.d, len(centers)
     table = np.exp(-np.arange(d + 1, dtype=float) / (2.0 * width_u * width_u))
@@ -463,7 +462,7 @@ def median_pairwise_distance(features: np.ndarray | Workload) -> float:
     result has the same bits.  Memory is _KERNEL_CHUNK x m integers.
     """
     if isinstance(features, Workload):
-        if _all_ranges(features):
+        if features._all_ranges():
             return _range_median_distance(features)
         features = features.matrix
     n = len(features)
@@ -550,20 +549,43 @@ def predict(model: PublishedModel, workload: Workload) -> np.ndarray:
     if workload.m == 0:
         return np.zeros(0)
     if model.kind == "linear":
-        return model.weights[0] + workload.matrix @ model.weights[1:]
-    # The kernel is evaluated _PREDICT_BLOCK rows at a time, so memory
-    # grows with the centers, not with queries x centers.  A one-row
-    # tail joins the block before it: numpy answers a single row by the
-    # matrix-vector path, whose last bits differ from the matrix product.
-    m = workload.m
-    starts = list(range(0, m, _PREDICT_BLOCK))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    spans = list(zip(starts, starts[1:] + [m]))
-    answers = np.empty(m)
+        return model.weights[0] + _block_product(workload, model.weights[1:])
+    # The kernel is evaluated a block of rows at a time, so memory grows
+    # with the centers, not with queries x centers.
+    spans = _row_spans(workload.m)
+    answers = np.empty(workload.m)
     kernels = _kernel_blocks(workload, model.centers, model.width_u, spans)
     for (a, b), kernel in zip(spans, kernels):
         answers[a:b] = kernel @ model.weights
+    return answers
+
+
+def _row_spans(m: int) -> list[tuple[int, int]]:
+    """(a, b) spans of _PREDICT_BLOCK rows that cover m rows in order.
+
+    A one-row tail joins the span before it: numpy answers a single
+    row by the matrix-vector path, whose last bits differ from the
+    matrix product.
+    """
+    starts = list(range(0, m, _PREDICT_BLOCK))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [m]))
+
+
+def _block_product(workload: Workload, vector: np.ndarray) -> np.ndarray:
+    """``workload.matrix @ vector``, with no matrix built that is not built yet.
+
+    A built matrix takes the whole product.  An unbuilt one, of range
+    rows only, is multiplied a span of :func:`_row_spans` at a time,
+    each block built from the bounds, so memory is one block; the
+    answers have the bits of the whole product at one BLAS thread.
+    """
+    if workload._matrix is not None:
+        return workload._matrix @ vector
+    answers = np.empty(workload.m)
+    for a, b in _row_spans(workload.m):
+        answers[a:b] = workload._rows(a, b) @ vector
     return answers
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histogram import Histogram, _seed
-from .learning import _check_real, _dyadic_bounds, fit_linear
+from .learning import _block_product, _check_real, _dyadic_bounds, fit_linear
 from .workload import Workload, _integer, evaluate_workload, range_workload, workload_sensitivity
 
 __all__ = [
@@ -550,7 +550,9 @@ def strategy_mechanism(
     :func:`~mldp.learning.fit_linear` fits to that release with ridge
     ``_RECONSTRUCTION_RIDGE``, which it solves in closed form for both
     structures, and the requested workload is answered exactly on that
-    estimate.  Charges exactly ``epsilon``.
+    estimate, a block of rows at a time (:func:`~mldp.learning._block_product`).
+    No strategy matrix is built, nor the workload's if it is not yet.
+    Charges exactly ``epsilon``.
     """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
@@ -567,7 +569,7 @@ def strategy_mechanism(
 
     return NoisyAnswerSet(
         workload,
-        workload.matrix @ model.weights[1 : hist.d + 1],
+        _block_product(workload, model.weights[1 : hist.d + 1]),
         sensitivity_used=measured.sensitivity_used,
         epsilon_used=epsilon,
         seed=seed,

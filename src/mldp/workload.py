@@ -120,12 +120,16 @@ def _checked_query(coeffs, kind: str, lo, hi) -> tuple[np.ndarray, int | None, i
 class Workload:
     """Immutable ordered collection of queries over a common bin domain.
 
-    Stored as its read-only (m x d) coefficient matrix plus each row's
-    kind and range bounds; indexing and iteration build validated
-    :class:`LinearQuery` views of the rows on demand.
+    Stored as d, each row's kind and range bounds, and a read-only
+    (m x d) coefficient matrix.  A workload of range rows only builds
+    its matrix from the bounds on the first :attr:`matrix` read and
+    keeps it; every other workload holds it from the start.  Indexing
+    and iteration build validated :class:`LinearQuery` views of the
+    rows on demand, and equality and hashing read range rows by their
+    bounds.
     """
 
-    __slots__ = ("_matrix", "_kinds", "_lo", "_hi")
+    __slots__ = ("_d", "_matrix", "_kinds", "_lo", "_hi")
 
     def __init__(self, d: int, queries):
         d = _integer(d, "d")
@@ -137,23 +141,31 @@ class Workload:
                 raise TypeError(f"query {i} is not a LinearQuery")
             if q.d != d:
                 raise ValueError(f"query {i} has d={q.d}, workload has d={d}")
-        matrix = np.stack([q.coeffs for q in queries]) if queries else np.zeros((0, d))
         kinds = [q.kind for q in queries]
-        self._set(matrix, kinds, [q.lo for q in queries], [q.hi for q in queries])
+        matrix = None
+        if kinds.count("range") < len(kinds):
+            matrix = np.stack([q.coeffs for q in queries])
+        self._set(d, matrix, kinds, [q.lo for q in queries], [q.hi for q in queries])
 
-    def _set(self, matrix, kinds, lo, hi) -> "Workload":
-        matrix.setflags(write=False)
-        self._matrix, self._kinds, self._lo, self._hi = matrix, tuple(kinds), tuple(lo), tuple(hi)
+    def _set(self, d, matrix, kinds, lo, hi) -> "Workload":
+        if matrix is not None:
+            matrix.setflags(write=False)
+        self._d, self._matrix = d, matrix
+        self._kinds, self._lo, self._hi = tuple(kinds), tuple(lo), tuple(hi)
         return self
 
     @classmethod
-    def _of(cls, matrix, kinds, lo, hi) -> "Workload":
-        """A workload over rows already known to be valid for their kinds."""
-        return cls.__new__(cls)._set(matrix, kinds, lo, hi)
+    def _of(cls, d, matrix, kinds, lo, hi) -> "Workload":
+        """A workload over rows already known to be valid for their kinds.
+
+        matrix is None for rows that are all ranges, which build it on
+        demand.
+        """
+        return cls.__new__(cls)._set(d, matrix, kinds, lo, hi)
 
     @property
     def d(self) -> int:
-        return self._matrix.shape[1]
+        return self._d
 
     @property
     def m(self) -> int:
@@ -161,8 +173,27 @@ class Workload:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Read-only (m x d) coefficient matrix, one row per query."""
+        """Read-only (m x d) coefficient matrix, one row per query.
+
+        Range rows only: built from the bounds on the first read, then kept.
+        """
+        if self._matrix is None:
+            matrix = self._rows(0, self.m)
+            matrix.setflags(write=False)
+            self._matrix = matrix
         return self._matrix
+
+    def _rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b-1 of the matrix: a view of it once built, else built from the bounds."""
+        if self._matrix is not None:
+            return self._matrix[a:b]
+        lo = np.array(self._lo[a:b], dtype=np.intp)
+        hi = np.array(self._hi[a:b], dtype=np.intp)
+        return _range_indicators(self._d, lo, hi).astype(float)
+
+    def _all_ranges(self) -> bool:
+        """Whether every row is a range, known by its bounds."""
+        return self._kinds.count("range") == len(self._kinds)
 
     def __len__(self):
         return len(self._kinds)
@@ -171,20 +202,28 @@ class Workload:
         return (self[i] for i in range(self.m))
 
     def __getitem__(self, i) -> LinearQuery:
-        return LinearQuery(self._matrix[i], self._kinds[i], self._lo[i], self._hi[i])
+        kind, lo, hi = self._kinds[i], self._lo[i], self._hi[i]
+        if self._matrix is not None:
+            return LinearQuery(self._matrix[i], kind, lo, hi)
+        coeffs = np.zeros(self._d)
+        coeffs[lo : hi + 1] = 1.0
+        return LinearQuery(coeffs, kind, lo, hi)
 
     def __eq__(self, other):
         if not isinstance(other, Workload):
             return NotImplemented
-        return (
-            self.d == other.d
-            and self._kinds == other._kinds
-            and np.array_equal(self._matrix, other._matrix)
-        )
+        if self._d != other._d or self._kinds != other._kinds:
+            return False
+        # A range row is the indicator of its bounds, so equal bounds are equal rows.
+        if self._all_ranges():
+            return self._lo == other._lo and self._hi == other._hi
+        return np.array_equal(self._matrix, other._matrix)
 
     def __hash__(self):
+        if self._all_ranges():
+            return hash((self._d, self._kinds, self._lo, self._hi))
         # Adding 0.0 reads -0.0 as 0.0, which __eq__ takes for equal.
-        return hash((self.d, self._kinds, (self._matrix + 0.0).tobytes()))
+        return hash((self._d, self._kinds, (self._matrix + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Workload(d={self.d}, m={self.m})"
@@ -206,8 +245,7 @@ def range_workload(d: int, lo, hi) -> Workload:
     if outside.size:
         i = outside[0]
         raise ValueError(f"range [{lo[i]}, {hi[i]}] out of bounds for d={d}")
-    matrix = _range_indicators(d, lo, hi).astype(float)
-    return Workload._of(matrix, ("range",) * lo.size, lo.tolist(), hi.tolist())
+    return Workload._of(d, None, ("range",) * lo.size, lo.tolist(), hi.tolist())
 
 
 def _range_indicators(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -238,10 +276,29 @@ def range_query(lo: int, hi: int, d: int) -> LinearQuery:
 
 
 def evaluate_workload(workload: Workload, hist: Histogram) -> np.ndarray:
-    """Exact answers of every query in the workload, in workload order."""
+    """Exact answers of every query in the workload, in workload order.
+
+    The answers are ``workload.matrix @ hist.bins``.  Range rows whose
+    matrix is not built yet, over integer-valued bins totalling less
+    than 2^53, are answered from their bounds as ``c[hi + 1] - c[lo]``
+    over the prefix sums ``c`` of the bins: every partial sum on either
+    path is an exact integer, so the answers have the bits of the
+    product (a zero answer is 0.0, never -0.0).  Fractional bins, such
+    as MWEM's synthetic ones, take the product.
+    """
     if workload.d != hist.d:
         raise ValueError(f"workload has d={workload.d}, histogram has d={hist.d}")
-    return workload.matrix @ hist.bins
+    bins = hist.bins
+    # Only a workload of range rows only leaves its matrix unbuilt.
+    if workload._matrix is None and hist.total < 2.0**53 and (np.trunc(bins) == bins).all():
+        prefix = np.zeros(bins.size + 1)
+        np.cumsum(bins, out=prefix[1:])
+        lo = np.array(workload._lo, dtype=np.intp)
+        past = np.array(workload._hi, dtype=np.intp) + 1
+        answers = prefix[past] - prefix[lo]
+        answers += 0.0  # -0.0 from -0.0 bins reads 0.0, as the product gives
+        return answers
+    return workload.matrix @ bins
 
 
 def workload_sensitivity(workload: Workload) -> float:
@@ -249,10 +306,17 @@ def workload_sensitivity(workload: Workload) -> float:
 
     Equals max over bins j of sum_i |coeffs_i[j]|, the worst-case L1
     change of the answer vector when one record moves one bin by one.
-    An empty workload has sensitivity 0.
+    An empty workload has sensitivity 0.  For range rows that is the
+    most rows covering one bin, counted from their bounds by prefix
+    sums of a difference array: an integer, as the column sums are.
     """
     if workload.m == 0:
         return 0.0
+    if workload._all_ranges():
+        n = workload.d + 1
+        changes = np.bincount(np.array(workload._lo, dtype=np.intp), minlength=n)
+        changes -= np.bincount(np.array(workload._hi, dtype=np.intp) + 1, minlength=n)
+        return float(np.cumsum(changes).max())
     matrix = workload.matrix
     if "general" in workload._kinds:  # range and subset coefficients are 0/1
         matrix = np.abs(matrix)
@@ -316,7 +380,7 @@ def pool_queries(d: int, positions, pool: str) -> Workload:
     if pool == "ranges":
         return range_workload(d, *_range_pool_bounds(d, k))
     matrix = (((k[:, None] + 1) >> np.arange(d)) & 1).astype(float)
-    return Workload._of(matrix, ("subset",) * k.size, (None,) * k.size, (None,) * k.size)
+    return Workload._of(d, matrix, ("subset",) * k.size, (None,) * k.size, (None,) * k.size)
 
 
 def _range_pool_bounds(d: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +444,6 @@ def save_workload_csv(workload: Workload, path) -> None:
     if not workload.m:
         raise ValueError("a workload with no queries cannot be saved: the file would have no rows")
     d = workload.d
-    matrix = workload.matrix
     with open(path, "w", newline="") as fh:
         # No field can hold a comma, quote or line break (the kinds are
         # fixed words, the bounds integers, the coefficients float
@@ -390,7 +453,7 @@ def save_workload_csv(workload: Workload, path) -> None:
             if kind == "range":
                 fh.write(f"range,{lo},{hi},{_range_text(d, lo, hi) if i == 0 else ''}\r\n")
             else:
-                fh.write(f"{kind},,,{' '.join(map(repr, matrix[i].tolist()))}\r\n")
+                fh.write(f"{kind},,,{' '.join(map(repr, workload.matrix[i].tolist()))}\r\n")
 
 
 def _range_text(d: int, lo: int, hi: int) -> str:
@@ -410,20 +473,22 @@ def load_workload_csv(path) -> Workload:
     bounds (how files were written before range rows dropped their
     coefficients); their coefficients are never parsed.  Every other row
     is parsed on its own by :func:`_read_row` and checked by the rules
-    :class:`LinearQuery` applies, without building one.  Every range row
-    is stored as its 0/1 indicator.  A bad file is reported at its first
-    bad row.
+    :class:`LinearQuery` applies, without building one.  A file of range
+    rows only loads as their bounds, with the matrix built on demand; in
+    any other file every range row is stored as its 0/1 indicator.  A
+    bad file is reported at its first bad row.
     """
     d, kinds, lo, hi, parsed = _text_rows(Path(path))
-    # A range row is its indicator; every other row has the empty range
-    # [0, -1], then its coefficients.
-    matrix = _range_indicators(d, lo, hi).astype(float)
+    matrix = None
     if parsed:
+        # A range row is its indicator; every other row has the empty
+        # range [0, -1], then its coefficients.
+        matrix = _range_indicators(d, lo, hi).astype(float)
         matrix[list(parsed)] = np.stack(list(parsed.values()))
     lo, hi = lo.tolist(), hi.tolist()
     for i in parsed:
         lo[i] = hi[i] = None
-    return Workload._of(matrix, kinds, lo, hi)
+    return Workload._of(d, matrix, kinds, lo, hi)
 
 
 def _text_rows(path: Path):

@@ -101,8 +101,10 @@ class TestTrainingSet:
 
     def test_shares_a_workload_matrix(self):
         # The linear fit reads the workload matrix in place: it never
-        # allocates a copy of the m x d features.
+        # allocates a copy of the m x d features.  The matrix is built
+        # before the trace, so the trace sees no first build.
         w = random_range_workload(64, 20_000, seed=3)
+        w.matrix
         targets = np.random.default_rng(3).normal(size=w.m)
         training = NoisyAnswerSet(w, targets, float(w.m), 1.0, seed=None)
         tracemalloc.start()
@@ -112,6 +114,25 @@ class TestTrainingSet:
         finally:
             tracemalloc.stop()
         assert peak < w.matrix.nbytes // 4
+
+    def test_a_fit_on_a_fresh_range_workload_builds_one_matrix(self):
+        # The first read of a range workload's matrix builds it; the fit
+        # allocates that one matrix and nothing else of its size.
+        w = random_range_workload(64, 20_000, seed=3)
+        targets = np.random.default_rng(3).normal(size=w.m)
+        training = NoisyAnswerSet(w, targets, float(w.m), 1.0, seed=None)
+        tracemalloc.start()
+        try:
+            model = fit_linear(training)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w._matrix is not None
+        assert peak < w.matrix.nbytes + w.matrix.nbytes // 4
+        built = random_range_workload(64, 20_000, seed=3)
+        built.matrix
+        again = fit_linear(NoisyAnswerSet(built, targets, float(w.m), 1.0, seed=None))
+        assert model.weights.tobytes() == again.weights.tobytes()
 
     def test_copies_a_writable_matrix(self):
         # The workload keeps its own copy of the rows, so writes to the
@@ -759,6 +780,52 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+    @pytest.mark.parametrize("d", [1, 16, 256, 1024])
+    @pytest.mark.parametrize("m", [1, 2, 511, 512, 513, 1025, 10_000])
+    def test_block_product_equals_the_whole_product(self, m, d):
+        """Blocks built from the bounds change no answer, before or after the build.
+
+        Bitwise at one BLAS thread, as test_rbf_answers_equal_the_whole_kernel_product.
+        """
+        w = random_range_workload(d, m, seed=m + d)
+        vector = np.random.default_rng(d).normal(size=d)
+        from_bounds = learning._block_product(w, vector)
+        assert w._matrix is None
+        want = w.matrix @ vector
+        from_matrix = learning._block_product(w, vector)
+        model = PublishedModel(kind="linear", d=d, weights=np.concatenate(([0.0], vector)))
+        predicted = predict(model, random_range_workload(d, m, seed=m + d))
+        for got in (from_bounds, from_matrix, predicted):
+            if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_predict_builds_no_matrix_of_a_range_workload(self, kind):
+        d = 256
+        if kind == "linear":
+            weights = np.concatenate(([0.0], np.random.default_rng(0).normal(size=d)))
+            model = PublishedModel(kind="linear", d=d, weights=weights)
+        else:
+            model = PublishedModel(
+                kind="rbf",
+                d=d,
+                weights=np.random.default_rng(0).normal(size=50),
+                centers=random_range_workload(d, 50, seed=1).matrix,
+                width_u=10.0,
+            )
+        queries = random_range_workload(d, 10_000, seed=2)
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert queries._matrix is None
+        assert peak < queries.matrix.nbytes // 4
 
 
 class TestModelFiles:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -778,6 +779,28 @@ class TestStrategyMechanism:
     def test_unknown_strategy(self, hist4, ranges4):
         with pytest.raises(ValueError, match="unknown strategy"):
             strategy_mechanism(ranges4, "wavelet", hist4, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("strategy", ["identity", "hierarchical"])
+def test_strategy_answers_build_no_matrix(strategy):
+    """Neither the strategy's matrix nor the requested range workload's is built.
+
+    At d=1024 the identity matrix alone is 8 MiB and the tree's 16 MiB.
+    """
+    d = 1024
+    hist = generate_simulated_histogram(d, 1000, seed=1)
+    workload = random_range_workload(d, 100, seed=2)
+    tracemalloc.start()
+    try:
+        out = strategy_mechanism(workload, strategy, hist, 1.0, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert workload._matrix is None
+    assert peak < d * d * 8 // 4
+    workload.matrix
+    again = strategy_mechanism(workload, strategy, hist, 1.0, seed=3)
+    assert out.answers.tobytes() == again.answers.tobytes()
 
 
 def _dense_strategy_matrix(strategy: str, d: int) -> tuple[np.ndarray, float, int]:

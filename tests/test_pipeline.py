@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -283,6 +284,24 @@ class TestPublish:
         for _ in range(500):
             predict(model, ranges4)
         assert (budget.ledger, budget.spent, budget.remaining) == before
+
+
+def test_a_singleton_linear_publish_builds_no_matrix():
+    """The singleton release is answered from its bounds and fitted in closed form.
+
+    At d=2048 the singleton matrix would be 32 MiB.
+    """
+    d = 2048
+    hist = generate_simulated_histogram(d, 1000, seed=7)
+    config = MldpConfig(epsilon=1.0, selection="singleton", seed=11)
+    tracemalloc.start()
+    try:
+        model = mldp_publish(hist, config, PrivacyBudget(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.weights.size == d + 1
+    assert peak < d * d * 8 // 16
 
 
 class TestBounds:

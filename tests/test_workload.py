@@ -1123,8 +1123,9 @@ def test_an_earlier_bad_row_wins_over_a_nul_after_it(tmp_path):
 
 def test_loading_an_old_file_holds_a_row_at_a_time_then_the_matrix_and_its_indicator(tmp_path):
     """Reading a 10 000-range file over 256 bins, every coefficient spelled,
-    holds a few MiB, never the whole file; the peak of the load is the float
-    matrix, the boolean indicator it is built from, and at most 2 MiB more."""
+    holds a few MiB, never the whole file; the peak of the load is at most
+    the float matrix, the boolean indicator it is built from, and 2 MiB more.
+    A file of ranges builds no matrix at all."""
     w = random_range_workload(256, 10_000, seed=3)
     p = tmp_path / "w.csv"
     _repr_writer(w, p, spell_ranges=True)
@@ -1136,6 +1137,112 @@ def test_loading_an_old_file_holds_a_row_at_a_time_then_the_matrix_and_its_indic
             _, peaks[name] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert result == w
+    assert result == w and result._matrix is None
     assert peaks["rows"] <= 6 * 2**20 < p.stat().st_size
     assert peaks["load"] <= w.matrix.nbytes + w.matrix.size + 2 * 2**20
+
+
+def _dense(workload: Workload) -> np.ndarray:
+    """A fresh copy of the workload's matrix, built without touching the workload's own."""
+    rows = [q.coeffs for q in workload]
+    return np.stack(rows) if rows else np.zeros((0, workload.d))
+
+
+# name: the bins of a histogram whose range answers come from prefix sums
+INTEGER_BINS = {
+    "simulated": lambda: generate_simulated_histogram(64, 1000, seed=5).bins,
+    "signed-zeros": lambda: np.array([-0.0, 0.0, -0.0, 3.0, -0.0, 0.0, 7.0, -0.0]),
+    "all-negative-zeros": lambda: np.full(5, -0.0),
+    "one-bin": lambda: np.array([9.0]),
+    "one-zero-bin": lambda: np.array([-0.0]),
+    "total-just-below-2^53": lambda: np.array([2.0**52, 1.0, 2.0**52 - 2.0, 0.0]),
+}
+
+# name: bins whose answers take the dense product
+DENSE_BINS = {
+    "fractional": lambda: np.random.default_rng(2).uniform(0, 50, size=32),
+    "one-fractional-bin": lambda: np.array([0.5]),
+    "total-at-2^53": lambda: np.array([2.0**52, 2.0**52, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_BINS) + sorted(DENSE_BINS))
+def test_range_answers_have_the_bits_of_the_product(name):
+    """Range rows are answered from prefix sums of integer bins, to the product's bits;
+    other bins take the product itself."""
+    bins = {**INTEGER_BINS, **DENSE_BINS}[name]()
+    hist = Histogram(bins)
+    d = hist.d
+    for m, seed in [(1, 0), (7, 1), (300, 2)]:
+        w = random_range_workload(d, m, seed)
+        # The full range and duplicated rows too.
+        w = range_workload(d, [0, *w._lo, w._lo[0]], [d - 1, *w._hi, w._hi[0]])
+        got = evaluate_workload(w, hist)
+        assert (w._matrix is None) == (name in INTEGER_BINS)
+        want = _dense(w) @ hist.bins
+        assert got.tobytes() == want.tobytes(), (name, m)
+
+
+def test_range_answers_of_an_all_range_pool():
+    hist = generate_simulated_histogram(40, 1000, seed=1)
+    w = all_range_queries(40)
+    got = evaluate_workload(w, hist)
+    assert w._matrix is None
+    assert got.tobytes() == (w.matrix @ hist.bins).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64, 300])
+def test_range_sensitivity_has_the_bits_of_the_column_sums(d):
+    rng = np.random.default_rng(d)
+    for m in (1, 2, 50, 1000):
+        w = random_range_workload(d, m, int(rng.integers(1 << 30)))
+        # Duplicates of one row raise the cover count of its bins.
+        k = int(rng.integers(m))
+        w = range_workload(d, [*w._lo, *[w._lo[k]] * 5], [*w._hi, *[w._hi[k]] * 5])
+        got = workload_sensitivity(w)
+        assert w._matrix is None
+        want = float(np.abs(_dense(w)).sum(axis=0).max())
+        assert type(got) is float and got == want, (d, m)
+
+
+def test_lazy_and_built_range_workloads_are_equal_and_hash_alike(tmp_path):
+    lazy = random_range_workload(50, 400, seed=4)
+    built = random_range_workload(50, 400, seed=4)
+    built.matrix
+    by_queries = Workload(50, list(lazy))
+    save_workload_csv(lazy, tmp_path / "w.csv")
+    loaded = load_workload_csv(tmp_path / "w.csv")
+    assert lazy._matrix is None and by_queries._matrix is None and loaded._matrix is None
+    for other in (built, by_queries, loaded):
+        assert lazy == other and other == lazy
+        assert hash(lazy) == hash(other)
+    assert len({lazy, built, by_queries, loaded}) == 1
+    assert lazy._matrix is None
+    assert lazy != random_range_workload(50, 400, seed=5)
+    assert lazy != random_range_workload(51, 400, seed=4)
+    # A lazy row view is the built row's.
+    assert [q.coeffs.tobytes() for q in lazy] == [q.coeffs.tobytes() for q in built]
+    assert lazy[-1] == built[-1] and lazy[-1].coeffs.flags.writeable is False
+    np.testing.assert_array_equal(lazy.matrix, built.matrix)
+    assert not lazy.matrix.flags.writeable
+
+
+def test_a_mixed_workload_is_built_at_once_and_compares_by_rows():
+    rows = [range_query(0, 1, 3), LinearQuery([1.0, 0.0, 1.0], kind="subset")]
+    a, b = Workload(3, rows), Workload(3, rows[::-1])
+    assert a._matrix is not None
+    assert a != b
+    assert a == Workload(3, list(a)) and hash(a) == hash(Workload(3, list(a)))
+
+
+def test_saving_a_range_workload_builds_no_matrix(tmp_path):
+    w = random_range_workload(256, 10_000, seed=3)
+    tracemalloc.start()
+    try:
+        save_workload_csv(w, tmp_path / "w.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w._matrix is None
+    assert peak < w.matrix.nbytes // 4
+    assert load_workload_csv(tmp_path / "w.csv") == w
